@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 
 _ACTIVE_TAPES: list["Tape"] = []
 
@@ -106,14 +106,6 @@ def backward(loss, tape, seed=1.0):
     loss.grad = np.float64(seed)
     for record in reversed(tape._records):
         record()
-
-
-def check_finite(t, name):
-    """Barrier: raise NumericError if NaN/Inf is present."""
-    data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if not np.isfinite(data).all():
-        raise NumericError(f"non-finite values in {name}")
-    return t
 
 
 def _broadcast_kind(a_shape, b_shape):

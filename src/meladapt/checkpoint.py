@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binio, errors
-from .errors import FreezeViolation
-from .model import ModelConfig, TtsModel
+from .errors import ConfigError, FreezeViolation
+from .model import ModelConfig, TtsModel, param_shapes
 
 CKPT_MAGIC = b"MACKPT\x00\x01"
 CKPT_VERSION = 1
@@ -47,22 +47,21 @@ class Checkpoint:
         )
 
     def to_model(self) -> TtsModel:
-        model = TtsModel(self.config, seed=0)
-        if set(model.params) != set(self.params):
-            extra = set(self.params) - set(model.params)
-            missing = set(model.params) - set(self.params)
+        shapes = param_shapes(self.config)
+        if set(shapes) != set(self.params):
+            extra = set(self.params) - set(shapes)
+            missing = set(shapes) - set(self.params)
             raise errors.unknown_names(
                 f"checkpoint parameter names do not match the registry "
                 f"(extra: {sorted(extra)[:4]}, missing: {sorted(missing)[:4]})"
             )
         for name, arr in self.params.items():
-            if model.params[name].shape != arr.shape:
+            if shapes[name] != arr.shape:
                 raise errors.CheckpointFormatError(
                     f"parameter '{name}' has shape {arr.shape}, registry expects "
-                    f"{model.params[name].shape}"
+                    f"{shapes[name]}"
                 )
-            model.params[name].data = np.array(arr)
-        return model
+        return TtsModel.from_arrays(self.config, self.params)
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -84,7 +83,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         provenance = meta["provenance"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise errors.CheckpointFormatError(f"{path}: malformed meta: {exc}") from exc
     params, adam_m, adam_v = {}, {}, {}
     for name, arr in arrays.items():
@@ -96,7 +95,7 @@ def load_checkpoint(path) -> Checkpoint:
             adam_v[name[len("adam_v."):]] = arr
         else:
             raise errors.unknown_names(f"{path}: unexpected array '{name}'")
-    registry = set(TtsModel(config, seed=0).params)
+    registry = set(param_shapes(config))
     extra, missing = set(params) - registry, registry - set(params)
     if extra or missing:
         raise errors.unknown_names(

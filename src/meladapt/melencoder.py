@@ -5,28 +5,10 @@ the decoder boundary, so a model adapted from mel input alone reuses the
 whole decoder-side input construction of the transcript path.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import autodiff as ad
 from . import model as m
 from .autodiff import Tensor
 from .errors import ShapeError
-
-
-@dataclass
-class AlignmentBatch:
-    mel: Tensor                       # [T x mel_dim]
-    phoneme_hidden_expanded: Tensor   # [T x d]
-    mask: np.ndarray = None           # [T] bool, None = all frames real
-
-    def __post_init__(self):
-        if self.mel.shape[0] != self.phoneme_hidden_expanded.shape[0]:
-            raise ShapeError(
-                f"mel has {self.mel.shape[0]} frames, expanded phoneme hidden "
-                f"has {self.phoneme_hidden_expanded.shape[0]}"
-            )
 
 
 def mel_encoder_forward(model, mel) -> Tensor:
@@ -55,8 +37,8 @@ def alignment_loss(mel_hidden, phoneme_hidden_expanded, mask=None):
     return ad.masked_mse(mel_hidden, target, mask)
 
 
-def reconstruction_forward(model, mel_in, speaker, pitch=None, acoustic=None) -> Tensor:
-    """Reconstruct mel from mel: no phoneme or duration input exists here.
+def reconstruction_inputs(model, mel_in, pitch=None, acoustic=None) -> Tensor:
+    """Decoder input built from mel alone: no phoneme or duration input exists.
 
     `pitch` and `acoustic` default to values derived from `mel_in` itself
     (frozen pitch predictor on the encoder latent; acoustic extractor on the
@@ -69,5 +51,9 @@ def reconstruction_forward(model, mel_in, speaker, pitch=None, acoustic=None) ->
     if acoustic is None:
         acoustic = m.acoustic_extract(model, mel_in)
     utt_vec = ad.matmul(m._mean_rows_matrix(mel_in.shape[0]), acoustic)
-    x = m.acoustic_additions(model, x, acoustic, utt_vec)
-    return m.decode(model, x, speaker)
+    return m.acoustic_additions(model, x, acoustic, utt_vec)
+
+
+def reconstruction_forward(model, mel_in, speaker, pitch=None, acoustic=None) -> Tensor:
+    """Reconstruct mel from mel: the decoder on `reconstruction_inputs`."""
+    return m.decode(model, reconstruction_inputs(model, mel_in, pitch, acoustic), speaker)

@@ -7,6 +7,7 @@ parameter name maps to exactly one group label via `group_of`.
 
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,94 +114,126 @@ def group_of(name: str) -> str:
     raise ConfigError(f"parameter name '{name}' belongs to no group")
 
 
+# initialisers: ("uniform", fan_in) draws U(+-1/sqrt(fan_in)), ("normal",
+# scale) draws N(0, scale^2); ZEROS and ONES draw nothing from the rng
+ZEROS, ONES = ("zeros",), ("ones",)
+
+
+def _fft_block_specs(c, prefix, conditional):
+    d, k = c.hidden_dim, c.conv_kernel
+    for part in ("wq", "wk", "wv", "wo"):
+        yield f"{prefix}.attn.{part}", (d, d), ("uniform", d)
+    for part in ("bq", "bk", "bv", "bo"):
+        yield f"{prefix}.attn.{part}", (d,), ZEROS
+    yield f"{prefix}.ffn.k1", (k, d, c.ffn_filter), ("uniform", k * d)
+    yield f"{prefix}.ffn.b1", (c.ffn_filter,), ZEROS
+    yield f"{prefix}.ffn.k2", (k, c.ffn_filter, d), ("uniform", k * c.ffn_filter)
+    yield f"{prefix}.ffn.b2", (d,), ZEROS
+    for site in ("1", "2"):
+        if conditional:
+            # degenerate start: acts as plain layer norm for every speaker
+            yield f"{prefix}.cln{site}.w_scale", (c.speaker_embedding_dim, d), ZEROS
+            yield f"{prefix}.cln{site}.b_scale", (d,), ONES
+            yield f"{prefix}.cln{site}.w_bias", (c.speaker_embedding_dim, d), ZEROS
+            yield f"{prefix}.cln{site}.b_bias", (d,), ZEROS
+        else:
+            yield f"{prefix}.ln{site}.gamma", (d,), ONES
+            yield f"{prefix}.ln{site}.beta", (d,), ZEROS
+
+
+def _predictor_specs(c, prefix, out_dim):
+    d, pk = c.hidden_dim, c.predictor_kernel
+    for i in ("1", "2"):
+        yield f"{prefix}.c{i}.kernel", (pk, d, d), ("uniform", pk * d)
+        yield f"{prefix}.c{i}.bias", (d,), ZEROS
+        yield f"{prefix}.ln{i}.gamma", (d,), ONES
+        yield f"{prefix}.ln{i}.beta", (d,), ZEROS
+    yield f"{prefix}.out.w", (d, out_dim), ("uniform", d)
+    yield f"{prefix}.out.b", (out_dim,), ZEROS
+
+
+def param_specs(c: ModelConfig) -> tuple:
+    """Every parameter as (name, shape, initialiser), in registry order.
+
+    The order is the initialisation's rng draw order, Adam's iteration order
+    and the parameter order of every model built from a checkpoint.
+    """
+    d = c.hidden_dim
+    specs = [("phoneme_embed", (c.phoneme_vocab_size, d), ("normal", 1.0))]
+    for i in range(c.n_encoder_blocks):
+        specs += _fft_block_specs(c, f"enc.{i}", conditional=False)
+    specs += _predictor_specs(c, "dur", 1)
+    specs += _predictor_specs(c, "pitch", 1)
+    specs += [
+        ("pitch.proj.w", (1, d), ("uniform", 1)),
+        ("pitch.proj.b", (d,), ZEROS),
+        ("acou.ext1.kernel", (3, c.mel_dim, d), ("uniform", 3 * c.mel_dim)),
+        ("acou.ext1.bias", (d,), ZEROS),
+        ("acou.ext2.kernel", (3, d, d), ("uniform", 3 * d)),
+        ("acou.ext2.bias", (d,), ZEROS),
+        ("acou.dense.w", (d, d), ("uniform", d)),
+        ("acou.dense.b", (d,), ZEROS),
+        ("acou.pred1.kernel", (3, d, d), ("uniform", 3 * d)),
+        ("acou.pred1.bias", (d,), ZEROS),
+        ("acou.pred2.kernel", (3, d, d), ("uniform", 3 * d)),
+        ("acou.pred2.bias", (d,), ZEROS),
+    ]
+    for i in range(c.n_decoder_blocks):
+        specs += _fft_block_specs(c, f"dec.{i}", conditional=True)
+    specs += [
+        ("mel_out.w", (d, c.mel_dim), ("uniform", d)),
+        ("mel_out.b", (c.mel_dim,), ZEROS),
+        ("speaker_table", (c.n_speakers, c.speaker_embedding_dim), ("normal", 0.5)),
+        ("melenc.in.w", (c.mel_dim, d), ("uniform", c.mel_dim)),
+        ("melenc.in.b", (d,), ZEROS),
+    ]
+    for i in range(c.n_mel_encoder_blocks):
+        specs += _fft_block_specs(c, f"melenc.{i}", conditional=False)
+    return tuple(specs)
+
+
+@lru_cache(maxsize=64)
+def param_shapes(c: ModelConfig) -> MappingProxyType:
+    """Read-only {name: shape} in registry order, built once per config.
+
+    Checkpoint loading checks names and shapes against it without drawing
+    an initialisation.
+    """
+    return MappingProxyType({name: shape for name, shape, _ in param_specs(c)})
+
+
+def _draw(rng, shape, init):
+    kind = init[0]
+    if kind == "uniform":
+        bound = 1.0 / np.sqrt(init[1])
+        return rng.uniform(-bound, bound, size=shape)
+    if kind == "normal":
+        return rng.normal(scale=init[1], size=shape)
+    return np.zeros(shape) if kind == "zeros" else np.ones(shape)
+
+
 class TtsModel:
     """Owns the parameter registry; all forward helpers below take the model."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        rng = np.random.default_rng(seed)
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self._build(np.random.default_rng(seed))
+        self.params: dict[str, Tensor] = {
+            name: Tensor(_draw(rng, shape, init), requires_grad=True)
+            for name, shape, init in param_specs(config)
+        }
 
-    # -- construction ------------------------------------------------------
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict) -> "TtsModel":
+        """Model over copies of `arrays` (name -> ndarray), in registry order.
 
-    def _add(self, name, data):
-        assert name not in self.params
-        self.params[name] = Tensor(data, requires_grad=True)
-
-    def _mat(self, rng, name, shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        self._add(name, rng.uniform(-bound, bound, size=shape))
-
-    def _zeros(self, name, shape):
-        self._add(name, np.zeros(shape))
-
-    def _ones(self, name, shape):
-        self._add(name, np.ones(shape))
-
-    def _build_fft_block(self, rng, prefix, conditional):
-        c = self.config
-        d = c.hidden_dim
-        for part in ("wq", "wk", "wv", "wo"):
-            self._mat(rng, f"{prefix}.attn.{part}", (d, d), d)
-        for part in ("bq", "bk", "bv", "bo"):
-            self._zeros(f"{prefix}.attn.{part}", (d,))
-        k = c.conv_kernel
-        self._mat(rng, f"{prefix}.ffn.k1", (k, d, c.ffn_filter), k * d)
-        self._zeros(f"{prefix}.ffn.b1", (c.ffn_filter,))
-        self._mat(rng, f"{prefix}.ffn.k2", (k, c.ffn_filter, d), k * c.ffn_filter)
-        self._zeros(f"{prefix}.ffn.b2", (d,))
-        for site in ("1", "2"):
-            if conditional:
-                # degenerate start: acts as plain layer norm for every speaker
-                self._zeros(f"{prefix}.cln{site}.w_scale", (c.speaker_embedding_dim, d))
-                self._ones(f"{prefix}.cln{site}.b_scale", (d,))
-                self._zeros(f"{prefix}.cln{site}.w_bias", (c.speaker_embedding_dim, d))
-                self._zeros(f"{prefix}.cln{site}.b_bias", (d,))
-            else:
-                self._ones(f"{prefix}.ln{site}.gamma", (d,))
-                self._zeros(f"{prefix}.ln{site}.beta", (d,))
-
-    def _build_predictor(self, rng, prefix, out_dim):
-        c = self.config
-        d, pk = c.hidden_dim, c.predictor_kernel
-        for i in ("1", "2"):
-            self._mat(rng, f"{prefix}.c{i}.kernel", (pk, d, d), pk * d)
-            self._zeros(f"{prefix}.c{i}.bias", (d,))
-            self._ones(f"{prefix}.ln{i}.gamma", (d,))
-            self._zeros(f"{prefix}.ln{i}.beta", (d,))
-        self._mat(rng, f"{prefix}.out.w", (d, out_dim), d)
-        self._zeros(f"{prefix}.out.b", (out_dim,))
-
-    def _build(self, rng):
-        c = self.config
-        d = c.hidden_dim
-        self._add("phoneme_embed", rng.normal(size=(c.phoneme_vocab_size, d)))
-        for i in range(c.n_encoder_blocks):
-            self._build_fft_block(rng, f"enc.{i}", conditional=False)
-        self._build_predictor(rng, "dur", 1)
-        self._build_predictor(rng, "pitch", 1)
-        self._mat(rng, "pitch.proj.w", (1, d), 1)
-        self._zeros("pitch.proj.b", (d,))
-        self._mat(rng, "acou.ext1.kernel", (3, c.mel_dim, d), 3 * c.mel_dim)
-        self._zeros("acou.ext1.bias", (d,))
-        self._mat(rng, "acou.ext2.kernel", (3, d, d), 3 * d)
-        self._zeros("acou.ext2.bias", (d,))
-        self._mat(rng, "acou.dense.w", (d, d), d)
-        self._zeros("acou.dense.b", (d,))
-        self._mat(rng, "acou.pred1.kernel", (3, d, d), 3 * d)
-        self._zeros("acou.pred1.bias", (d,))
-        self._mat(rng, "acou.pred2.kernel", (3, d, d), 3 * d)
-        self._zeros("acou.pred2.bias", (d,))
-        for i in range(c.n_decoder_blocks):
-            self._build_fft_block(rng, f"dec.{i}", conditional=True)
-        self._mat(rng, "mel_out.w", (d, c.mel_dim), d)
-        self._zeros("mel_out.b", (c.mel_dim,))
-        self._add("speaker_table",
-                  rng.normal(scale=0.5, size=(c.n_speakers, c.speaker_embedding_dim)))
-        self._mat(rng, "melenc.in.w", (c.mel_dim, d), c.mel_dim)
-        self._zeros("melenc.in.b", (d,))
-        for i in range(c.n_mel_encoder_blocks):
-            self._build_fft_block(rng, f"melenc.{i}", conditional=False)
+        Draws no initialisation; names and shapes are the caller's to check.
+        """
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = {name: Tensor(np.array(arrays[name]), requires_grad=True)
+                        for name in param_shapes(config)}
+        return model
 
     # -- bookkeeping -------------------------------------------------------
 

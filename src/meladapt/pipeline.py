@@ -3,6 +3,7 @@ adaptation, and synthesis, with bitwise freeze auditing between stages."""
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -125,9 +126,10 @@ def adapt_plan(steps=200, batch_size=4, seed=2, learning_rate=1e-3,
 # -- generic loop ----------------------------------------------------------
 
 
-def _run_stage(model, plan, items, loss_fn, metrics, extra_row_scope=None):
+def _run_stage(model, plan, items, loss_fn, metrics):
     """Shared training loop: per-item losses accumulate on one tape per step.
 
+    `loss_fn(model, item, key)` gets the item's position in `items` as `key`.
     Metrics for a step are recorded before its update, so step 0 describes
     the incoming model exactly.
     """
@@ -146,7 +148,7 @@ def _run_stage(model, plan, items, loss_fn, metrics, extra_row_scope=None):
         sums = {}
         with Tape() as tape:
             for i in picks:
-                for name, part in loss_fn(model, items[i]).items():
+                for name, part in loss_fn(model, items[i], int(i)).items():
                     sums[name] = part if name not in sums else ad.add(sums[name], part)
             total = None
             for name, part in sums.items():
@@ -177,6 +179,22 @@ def _run_stage(model, plan, items, loss_fn, metrics, extra_row_scope=None):
 # -- per-stage loss builders ----------------------------------------------
 
 
+def _frozen(cache, key, compute):
+    """`compute()`, kept under `key` for the rest of the stage call when the
+    tape marks the result constant.
+
+    `requires_grad` is False exactly when no trainable parameter feeds the
+    result, so a recomputation would give the same bits and record no
+    backward step; a result the trainable set reaches is recomputed.
+    """
+    out = cache.get(key)
+    if out is None:
+        out = compute()
+        if not out.requires_grad:
+            cache[key] = out
+    return out
+
+
 def _source_losses(model, utt, with_alignment=False):
     mel = Tensor(utt.mel)
     spk = model.speaker_context(utt.speaker_id)
@@ -201,11 +219,11 @@ def _source_losses(model, utt, with_alignment=False):
     return losses
 
 
-def _align_losses(model, utt):
+def _align_losses(model, utt, key, cache):
     mel = Tensor(utt.mel)
     spk = model.speaker_context(utt.speaker_id)
-    h = mm.encode_phonemes(model, utt.phonemes)
-    h_reg = mm.length_regulate(h, utt.durations)
+    h_reg = _frozen(cache, key, lambda: mm.length_regulate(
+        mm.encode_phonemes(model, utt.phonemes), utt.durations))
     h_mel = me.mel_encoder_forward(model, mel)
     recon = me.reconstruction_forward(model, mel, spk)
     return {
@@ -226,10 +244,11 @@ class _AuditedRecord:
         return getattr(self._record, name)
 
 
-def _adapt_losses(model, record):
+def _adapt_losses(model, record, key, cache):
     mel = Tensor(record.mel)
     spk = model.speaker_context(record.speaker_id)
-    recon = me.reconstruction_forward(model, mel, spk)
+    x = _frozen(cache, key, lambda: me.reconstruction_inputs(model, mel))
+    recon = mm.decode(model, x, spk)
     return {"reconstruction": ad.masked_mae(recon, mel)}
 
 
@@ -264,7 +283,8 @@ def train_source(corpus, config, plan):
     joint = plan.variant == "joint_training"
     try:
         _run_stage(model, plan, train.utterances,
-                   lambda m, u: _source_losses(m, u, with_alignment=joint), metrics)
+                   lambda m, u, _: _source_losses(m, u, with_alignment=joint),
+                   metrics)
     except NumericError as exc:
         _abort_with_last_good(model, plan, provenance, exc)
     out = Checkpoint.from_model(model, provenance=provenance)
@@ -285,8 +305,8 @@ def align_mel_encoder(source_ckpt, corpus, plan):
         "align_steps": plan.steps, "align_seed": plan.seed,
     }
     try:
-        _run_stage(model, plan, corpus.train_split().utterances, _align_losses,
-                   metrics)
+        _run_stage(model, plan, corpus.train_split().utterances,
+                   partial(_align_losses, cache={}), metrics)
     except NumericError as exc:
         _abort_with_last_good(model, plan, provenance, exc)
     out = Checkpoint.from_model(model, provenance=provenance)
@@ -345,7 +365,7 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
         "speaker_row_adapted": bool(plan.adapt_speaker_row),
     }
     try:
-        _run_stage(model, plan, audited, _adapt_losses, metrics)
+        _run_stage(model, plan, audited, partial(_adapt_losses, cache={}), metrics)
     except NumericError as exc:
         _abort_with_last_good(model, plan, provenance, exc)
 
@@ -392,22 +412,3 @@ def write_metrics(rows, path):
         w.writerow(["step", "stage", "loss_name", "value"])
         for step, stage, loss_name, value in rows:
             w.writerow([step, stage, loss_name, repr(float(value))])
-
-
-def read_metrics(path):
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((int(row["step"]), row["stage"], row["loss_name"],
-                        float(row["value"])))
-    return out
-
-
-def smoothed_loss(metrics, stage, loss_name, alpha=0.1):
-    """Exponentially smoothed curve of one loss; returns list of (step, value)."""
-    acc, out = None, []
-    for step, st, name, value in metrics:
-        if st == stage and name == loss_name:
-            acc = value if acc is None else (1 - alpha) * acc + alpha * value
-            out.append((step, acc))
-    return out

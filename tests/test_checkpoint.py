@@ -37,6 +37,34 @@ class TestSnapshot:
         assert e.value.code == "unknown-names"
 
 
+    def test_to_model_rejects_reshaped_param(self, tiny):
+        ckpt = snap(tiny)
+        ckpt.params["mel_out.b"] = np.zeros((1, TINY.mel_dim))
+        with pytest.raises(CheckpointFormatError, match="registry expects"):
+            ckpt.to_model()
+
+    def test_to_model_copies_in_registry_order(self, tiny):
+        ckpt = snap(tiny)
+        ckpt.params = dict(reversed(list(ckpt.params.items())))
+        rebuilt = ckpt.to_model()
+        assert list(rebuilt.params) == list(tiny.params)
+        assert all(t.requires_grad for t in rebuilt.params.values())
+        rebuilt.params["mel_out.b"].data[:] = 5.0
+        assert not np.any(ckpt.params["mel_out.b"] == 5.0)
+
+    def test_loading_draws_no_random_model(self, tiny, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        cp.save_checkpoint(snap(tiny), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random model was built")
+
+        monkeypatch.setattr(m.TtsModel, "__init__", refuse)
+        rebuilt = cp.load_checkpoint(path).to_model()
+        assert np.array_equal(rebuilt.params["speaker_table"].data,
+                              tiny.params["speaker_table"].data)
+
+
 class TestSerialization:
     def test_save_load_save_byte_identical(self, tiny, tmp_path):
         rng = np.random.default_rng(3)

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meladapt import cli
+from meladapt import binio, cli
 from meladapt import synthdata as sd
-from meladapt.checkpoint import load_checkpoint
+from meladapt.checkpoint import CKPT_MAGIC, CKPT_VERSION, load_checkpoint
 from meladapt.evalmetrics import read_report_csv
 
 TINY_CFG = """\
@@ -163,6 +163,20 @@ class TestExitCodes:
         code = cli.main(["eval", "--arms", str(bad), "--corpus", str(bad),
                          "--report", str(tmp_path / "r.csv")])
         assert code == 5
+
+    @pytest.mark.parametrize("corrupt", [{"mystery_key": 1}, {"hidden_dim": -1}])
+    def test_corrupt_model_config_is_exit_5(self, workdir, tmp_path, corrupt, capsys):
+        meta, arrays = binio.read_container(workdir / "source.ckpt",
+                                            CKPT_MAGIC, CKPT_VERSION)
+        meta["model_config"].update(corrupt)
+        bad = tmp_path / "bad.ckpt"
+        binio.write_container(bad, CKPT_MAGIC, CKPT_VERSION, meta, arrays)
+        text = tmp_path / "text.txt"
+        text.write_text("1 2 3\n")
+        code = cli.main(["synthesize", "--ckpt", str(bad), "--text-file", str(text),
+                         "--speaker", "0", "--out", str(tmp_path / "x.mel")])
+        assert code == 5
+        assert "malformed meta" in capsys.readouterr().err
 
     def test_unknown_subcommand_raises_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -114,16 +114,6 @@ class TestAlignmentLoss:
             me.alignment_loss(Tensor(np.zeros((3, 8))), Tensor(np.zeros((4, 8))))
 
 
-class TestAlignmentBatch:
-    def test_length_agreement_enforced(self):
-        with pytest.raises(ShapeError):
-            me.AlignmentBatch(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 8))))
-
-    def test_holds_pair(self):
-        b = me.AlignmentBatch(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 8))))
-        assert b.mask is None
-
-
 class TestReconstructionForward:
     def test_output_shape_matches_input(self, tiny):
         mel = Tensor(np.random.default_rng(10).normal(size=(7, 4)))
@@ -133,10 +123,22 @@ class TestReconstructionForward:
     def test_signature_admits_no_phoneme_argument(self):
         import inspect
 
-        names = set(inspect.signature(me.reconstruction_forward).parameters)
-        assert "phoneme" not in " ".join(names)
-        assert "duration" not in " ".join(names)
-        assert names == {"model", "mel_in", "speaker", "pitch", "acoustic"}
+        for fn, want in ((me.reconstruction_forward,
+                          {"model", "mel_in", "speaker", "pitch", "acoustic"}),
+                         (me.reconstruction_inputs,
+                          {"model", "mel_in", "pitch", "acoustic"})):
+            names = set(inspect.signature(fn).parameters)
+            assert "phoneme" not in " ".join(names)
+            assert "duration" not in " ".join(names)
+            assert names == want
+
+    def test_is_decode_of_reconstruction_inputs(self, tiny):
+        mel = Tensor(np.random.default_rng(14).normal(size=(6, 4)))
+        spk = tiny.speaker_context(1)
+        x = me.reconstruction_inputs(tiny, mel)
+        assert x.shape == (6, TINY.hidden_dim)
+        assert np.array_equal(me.reconstruction_forward(tiny, mel, spk).data,
+                              m.decode(tiny, x, spk).data)
 
     def test_deterministic(self, tiny):
         mel = Tensor(np.random.default_rng(11).normal(size=(5, 4)))

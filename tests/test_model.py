@@ -68,6 +68,14 @@ class TestPartition:
         tiny.set_trainable(set(m.GROUPS))
         assert len(tiny.trainable_params()) == len(tiny.params)
 
+    def test_param_shapes_match_built_model(self, tiny):
+        shapes = m.param_shapes(TINY)
+        assert len(shapes) == len(m.param_specs(TINY))  # names are unique
+        assert list(shapes.items()) == [(n, t.shape) for n, t in tiny.params.items()]
+        assert m.param_shapes(m.ModelConfig(**TINY.to_dict())) is shapes
+        with pytest.raises(TypeError):
+            shapes["mel_out.b"] = (1,)
+
     def test_build_deterministic(self):
         a = m.TtsModel(TINY, seed=7)
         b = m.TtsModel(TINY, seed=7)

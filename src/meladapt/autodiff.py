@@ -45,10 +45,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        """Constant view of the same buffer; never tracked, never mutated by ops."""
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -490,22 +486,5 @@ def masked_mse(pred, target, mask=None):
                 _accumulate(pred, full)
             if target.requires_grad:
                 _accumulate(target, -full)
-        tape._records.append(bw)
-    return out
-
-
-def dropout(a, rate, rng):
-    """Inverted dropout; identity when rate is 0."""
-    if rate < 0 or rate >= 1:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return a
-    keep = rng.random(a.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    out, tape = _result(np.where(keep, a.data * scale, 0.0), a)
-    if tape is not None:
-        def bw():
-            if out.grad is not None:
-                _accumulate(a, np.where(keep, out.grad * scale, 0.0))
         tape._records.append(bw)
     return out

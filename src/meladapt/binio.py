@@ -8,6 +8,7 @@ save -> load -> save byte-identical.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -47,9 +48,36 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict):
             fh.write(arr.astype(_DTYPES[entry["dtype"]], copy=False).tobytes())
 
 
+def _schema_error(header):
+    """What breaks the header schema, or None. A header is an object with a
+    `meta` object and an `arrays` list of {"name": str, "dtype": "f8" or
+    "i8", "shape": [int >= 0, ...]} entries with distinct names."""
+    if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
+        return "header is not an object with a 'meta' object"
+    if not isinstance(header.get("arrays"), list):
+        return "header 'arrays' is not a list"
+    names = set()
+    for entry in header["arrays"]:
+        if not isinstance(entry, dict):
+            return "array entry is not an object"
+        name, dtype, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
+        if not isinstance(name, str):
+            return f"array name {name!r} is not a string"
+        if name in names:
+            return f"array '{name}' appears twice"
+        names.add(name)
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            return f"array '{name}' has unknown dtype {dtype!r}"
+        if not isinstance(shape, list) or not all(
+                type(n) is int and n >= 0 for n in shape):
+            return f"array '{name}' has malformed shape {shape!r}"
+    return None
+
+
 def read_container(path, magic: bytes, version: int):
     """Returns (meta, arrays). Raises CheckpointFormatError with a specific
-    code on bad magic, wrong version, truncation, or trailing garbage."""
+    code on bad magic, wrong version, truncation, a header that breaks the
+    schema, or trailing garbage."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20:
@@ -68,19 +96,16 @@ def read_container(path, magic: bytes, version: int):
         raise errors.truncated(f"{path}: header cut short")
     try:
         header = json.loads(blob[20:20 + hlen].decode("utf-8"))
-        meta, entries = header["meta"], header["arrays"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError) as exc:
         raise errors.CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
+    problem = _schema_error(header)
+    if problem:
+        raise errors.CheckpointFormatError(f"{path}: {problem}")
     arrays = {}
     offset = 20 + hlen
-    for entry in entries:
-        try:
-            name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
-        except (KeyError, TypeError) as exc:
-            raise errors.CheckpointFormatError(f"{path}: malformed array entry") from exc
-        if dtype not in _DTYPES:
-            raise errors.CheckpointFormatError(f"{path}: unknown dtype '{dtype}'")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+    for entry in header["arrays"]:
+        name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(blob):
             raise errors.truncated(f"{path}: array '{name}' cut short")
         arrays[name] = np.frombuffer(
@@ -91,4 +116,4 @@ def read_container(path, magic: bytes, version: int):
         raise errors.CheckpointFormatError(
             f"{path}: {len(blob) - offset} trailing bytes after last array"
         )
-    return meta, arrays
+    return header["meta"], arrays

@@ -11,39 +11,22 @@ from .model import ModelConfig, TtsModel, param_shapes
 CKPT_MAGIC = b"MACKPT\x00\x01"
 CKPT_VERSION = 1
 
-STAGES = ("initialized", "source_training", "mel_encoder_aligning",
-          "untranscribed_adaptation")
-
-
 @dataclass
 class Checkpoint:
     config: ModelConfig
     params: dict                 # name -> float64 ndarray (owned copies)
     provenance: dict = field(default_factory=dict)
-    rng_state: dict = None       # numpy bit-generator state of the training rng
-    adam: dict = None            # {"hyper": {...}, "m": {name: arr}, "v": {...}}
 
     @property
     def stage(self):
         return self.provenance.get("stage", "initialized")
 
     @classmethod
-    def from_model(cls, model, provenance=None, rng=None, adam_state=None):
-        adam = None
-        if adam_state is not None:
-            adam = {
-                "hyper": {"learning_rate": adam_state.learning_rate,
-                          "beta1": adam_state.beta1, "beta2": adam_state.beta2,
-                          "epsilon": adam_state.epsilon, "t": adam_state.t},
-                "m": {k: v.copy() for k, v in adam_state.m.items()},
-                "v": {k: v.copy() for k, v in adam_state.v.items()},
-            }
+    def from_model(cls, model, provenance=None):
         return cls(
             config=model.config,
             params={n: t.data.copy() for n, t in model.params.items()},
             provenance=dict(provenance or {}),
-            rng_state=None if rng is None else rng.bit_generator.state,
-            adam=adam,
         )
 
     def to_model(self) -> TtsModel:
@@ -65,36 +48,27 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    meta = {
-        "model_config": ckpt.config.to_dict(),
-        "provenance": ckpt.provenance,
-        "rng_state": ckpt.rng_state,
-        "adam_hyper": None if ckpt.adam is None else ckpt.adam["hyper"],
-    }
+    meta = {"model_config": ckpt.config.to_dict(), "provenance": ckpt.provenance}
     arrays = {f"param.{n}": a for n, a in ckpt.params.items()}
-    if ckpt.adam is not None:
-        arrays.update({f"adam_m.{n}": a for n, a in ckpt.adam["m"].items()})
-        arrays.update({f"adam_v.{n}": a for n, a in ckpt.adam["v"].items()})
     binio.write_container(path, CKPT_MAGIC, CKPT_VERSION, meta, arrays)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Reads a checkpoint; other meta keys, such as the always-null
+    `rng_state` and `adam_hyper` of older files, are ignored."""
     meta, arrays = binio.read_container(path, CKPT_MAGIC, CKPT_VERSION)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         provenance = meta["provenance"]
+        if not isinstance(provenance, dict):
+            raise TypeError("provenance is not an object")
     except (KeyError, TypeError, ConfigError) as exc:
         raise errors.CheckpointFormatError(f"{path}: malformed meta: {exc}") from exc
-    params, adam_m, adam_v = {}, {}, {}
+    params = {}
     for name, arr in arrays.items():
-        if name.startswith("param."):
-            params[name[len("param."):]] = arr
-        elif name.startswith("adam_m."):
-            adam_m[name[len("adam_m."):]] = arr
-        elif name.startswith("adam_v."):
-            adam_v[name[len("adam_v."):]] = arr
-        else:
+        if not name.startswith("param."):
             raise errors.unknown_names(f"{path}: unexpected array '{name}'")
+        params[name[len("param."):]] = arr
     registry = set(param_shapes(config))
     extra, missing = set(params) - registry, registry - set(params)
     if extra or missing:
@@ -102,11 +76,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: parameter names do not match the registry "
             f"(extra: {sorted(extra)[:4]}, missing: {sorted(missing)[:4]})"
         )
-    adam = None
-    if meta.get("adam_hyper") is not None:
-        adam = {"hyper": meta["adam_hyper"], "m": adam_m, "v": adam_v}
-    return Checkpoint(config=config, params=params, provenance=provenance,
-                      rng_state=meta.get("rng_state"), adam=adam)
+    return Checkpoint(config=config, params=params, provenance=provenance)
 
 
 def param_diff(a: Checkpoint, b: Checkpoint) -> list:

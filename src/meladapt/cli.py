@@ -25,7 +25,7 @@ from . import synthdata as sd
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_text, desk_config, load_config, write_effective_config
 from .errors import ConfigError, MelAdaptError
-from .evalmetrics import mel_distance, paired_report, speaker_proximity, write_report_csv
+from .evalmetrics import paired_report, write_report_csv
 
 MEL_MAGIC = b"MAMEL\x00\x00\x01"
 MEL_VERSION = 1
@@ -213,18 +213,10 @@ def cmd_eval(args):
             k += 1
         seen.add(name)
         names.append(name)
-    speakers = corpus.speakers()
     values = {}
     for name, path in zip(names, args.arms):
-        ckpt = load_checkpoint(path)
-        per_metric = {m: {} for m in ex.EVAL_METRICS}
-        for utt in corpus.utterances:
-            mel = pl.synthesize(ckpt, utt.phonemes, utt.speaker_id)
-            uid = ex._utt_uid(utt.speaker_id, utt.utterance_id)
-            per_metric["mel_mae"][uid] = mel_distance(mel, utt.mel).value
-            per_metric["proximity"][uid] = speaker_proximity(
-                mel, utt.speaker_id, corpus.spec, speakers)
-        values[name] = per_metric
+        values[name] = ex.score_utterances(load_checkpoint(path), corpus.utterances,
+                                           corpus.spec, corpus.speakers())
         _chat(f"evaluated {name} on {len(corpus.utterances)} utterances")
     rows = []
     for name in names:
@@ -283,7 +275,7 @@ def _build_parser():
     sp.add_argument("--corpus", required=True, help="corpus dir or file")
     sp.add_argument("--config")
     sp.add_argument("--out", required=True, help="checkpoint path")
-    sp.add_argument("--variant", default="main", choices=["main", "joint_training"])
+    sp.add_argument("--variant", default="main", choices=list(pl.TRAINS[pl.STAGE_SOURCE]))
 
     sp = add("align-mel-encoder", cmd_align, "stage 2: fit mel encoder to the "
              "phoneme latent space")
@@ -291,7 +283,7 @@ def _build_parser():
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--config")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--variant", default="main", choices=["main", "no_l2"])
+    sp.add_argument("--variant", default="main", choices=list(pl.TRAINS[pl.STAGE_ALIGN]))
 
     sp = add("adapt", cmd_adapt, "stage 3: untranscribed speaker adaptation")
     sp.add_argument("--ckpt", required=True, help="aligned checkpoint")
@@ -300,8 +292,7 @@ def _build_parser():
     sp.add_argument("--n-utts", required=True, type=int)
     sp.add_argument("--config")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--variant", default="main",
-                    choices=["main", "finetune_mel_encoder_and_decoder"])
+    sp.add_argument("--variant", default="main", choices=list(pl.TRAINS[pl.STAGE_ADAPT]))
 
     sp = add("synthesize", cmd_synthesize, "stage 4: mel from phoneme ids")
     sp.add_argument("--ckpt", required=True)
@@ -316,8 +307,7 @@ def _build_parser():
     sp.add_argument("--report", required=True, help="CSV output path")
 
     sp = add("experiment", cmd_experiment, "full paired recipe, seeded")
-    sp.add_argument("--recipe", required=True,
-                    choices=["main", "joint", "no-l2", "finetune-all", "data-sweep"])
+    sp.add_argument("--recipe", required=True, choices=ex.RECIPES)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config")
     sp.add_argument("--out", help="output directory (default runs/<recipe>-seed<n>)")

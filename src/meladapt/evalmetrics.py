@@ -26,7 +26,8 @@ class MelDistance:
     truncation_fraction: float  # share of the longer input dropped
 
 
-def mel_distance(a, b, mode="mae") -> MelDistance:
+def mel_distance(a, b) -> MelDistance:
+    """Mean absolute error over the frames both mels share."""
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"incomparable mel shapes {a.shape} and {b.shape}")
@@ -34,13 +35,7 @@ def mel_distance(a, b, mode="mae") -> MelDistance:
     if t == 0:
         raise ConfigError("empty frame overlap between compared mels")
     longest = max(a.shape[0], b.shape[0])
-    diff = a[:t] - b[:t]
-    if mode == "mae":
-        value = float(np.abs(diff).mean())
-    elif mode == "mse":
-        value = float((diff * diff).mean())
-    else:
-        raise ConfigError(f"unknown distance mode '{mode}'")
+    value = float(np.abs(a[:t] - b[:t]).mean())
     return MelDistance(value=value, truncation_fraction=1.0 - t / longest)
 
 

@@ -32,6 +32,19 @@ def _utt_uid(speaker_id, utterance_id):
     return speaker_id * 1000 + utterance_id
 
 
+def score_utterances(ckpt, utts, spec, speakers) -> dict:
+    """Synthesize each utterance's transcript for its speaker and score the
+    result against its reference mel and, among `speakers`, against the
+    oracle voice of `spec`; keyed {metric: {uid: value}}."""
+    out = {m: {} for m in EVAL_METRICS}
+    for utt in utts:
+        mel = pl.synthesize(ckpt, utt.phonemes, utt.speaker_id)
+        uid = _utt_uid(utt.speaker_id, utt.utterance_id)
+        out["mel_mae"][uid] = mel_distance(mel, utt.mel).value
+        out["proximity"][uid] = speaker_proximity(mel, utt.speaker_id, spec, speakers)
+    return out
+
+
 @dataclass
 class Workbench:
     cfg: object
@@ -121,14 +134,8 @@ class Workbench:
     def evaluate(self, ckpt, speaker) -> dict:
         """Metric values for each held-out utterance of `speaker`,
         keyed {metric: {uid: value}}."""
-        out = {m: {} for m in EVAL_METRICS}
-        for utt in self.eval_utterances(speaker):
-            mel = pl.synthesize(ckpt, utt.phonemes, speaker)
-            uid = _utt_uid(speaker, utt.utterance_id)
-            out["mel_mae"][uid] = mel_distance(mel, utt.mel).value
-            out["proximity"][uid] = speaker_proximity(
-                mel, speaker, self.spec, self.all_speaker_ids())
-        return out
+        return score_utterances(ckpt, self.eval_utterances(speaker), self.spec,
+                                self.all_speaker_ids())
 
     def evaluate_arm(self, ckpt_for_speaker) -> dict:
         """Pool per-speaker evaluations; `ckpt_for_speaker` maps speaker ->

@@ -2,7 +2,7 @@
 
 One flat parameter registry covers the whole system, including the mel
 encoder, so that freezing and checkpointing can work on names alone. Every
-parameter name maps to exactly one group label via `group_of`.
+parameter belongs to exactly one group, declared with it in `param_specs`.
 """
 
 from dataclasses import dataclass, field, fields
@@ -91,104 +91,86 @@ def positional_encoding(T, d):
     return _posenc_cached(int(T), int(d))
 
 
-def group_of(name: str) -> str:
-    """Map a parameter name to its group label. Unknown names are an error."""
-    if name == "phoneme_embed" or name.startswith("enc."):
-        return "PhonemeEncoder"
-    if name.startswith("dur."):
-        return "DurationPredictor"
-    if name.startswith("pitch."):
-        return "PitchPredictor"
-    if name.startswith("acou."):
-        return "AcousticCondition"
-    if name.startswith("dec."):
-        if ".cln" in name:
-            return "ConditionalLN"
-        return "DecoderCore"
-    if name.startswith("mel_out."):
-        return "MelLinear"
-    if name == "speaker_table":
-        return "SpeakerTable"
-    if name.startswith("melenc."):
-        return "MelEncoder"
-    raise ConfigError(f"parameter name '{name}' belongs to no group")
-
-
 # initialisers: ("uniform", fan_in) draws U(+-1/sqrt(fan_in)), ("normal",
 # scale) draws N(0, scale^2); ZEROS and ONES draw nothing from the rng
 ZEROS, ONES = ("zeros",), ("ones",)
 
 
-def _fft_block_specs(c, prefix, conditional):
+def _fft_block_specs(c, prefix, group, conditional=False):
+    """One block's parameters in `group`; a conditional block's layer norms
+    form the ConditionalLN group."""
     d, k = c.hidden_dim, c.conv_kernel
     for part in ("wq", "wk", "wv", "wo"):
-        yield f"{prefix}.attn.{part}", (d, d), ("uniform", d)
+        yield f"{prefix}.attn.{part}", (d, d), group, ("uniform", d)
     for part in ("bq", "bk", "bv", "bo"):
-        yield f"{prefix}.attn.{part}", (d,), ZEROS
-    yield f"{prefix}.ffn.k1", (k, d, c.ffn_filter), ("uniform", k * d)
-    yield f"{prefix}.ffn.b1", (c.ffn_filter,), ZEROS
-    yield f"{prefix}.ffn.k2", (k, c.ffn_filter, d), ("uniform", k * c.ffn_filter)
-    yield f"{prefix}.ffn.b2", (d,), ZEROS
+        yield f"{prefix}.attn.{part}", (d,), group, ZEROS
+    yield f"{prefix}.ffn.k1", (k, d, c.ffn_filter), group, ("uniform", k * d)
+    yield f"{prefix}.ffn.b1", (c.ffn_filter,), group, ZEROS
+    yield f"{prefix}.ffn.k2", (k, c.ffn_filter, d), group, ("uniform", k * c.ffn_filter)
+    yield f"{prefix}.ffn.b2", (d,), group, ZEROS
     for site in ("1", "2"):
         if conditional:
             # degenerate start: acts as plain layer norm for every speaker
-            yield f"{prefix}.cln{site}.w_scale", (c.speaker_embedding_dim, d), ZEROS
-            yield f"{prefix}.cln{site}.b_scale", (d,), ONES
-            yield f"{prefix}.cln{site}.w_bias", (c.speaker_embedding_dim, d), ZEROS
-            yield f"{prefix}.cln{site}.b_bias", (d,), ZEROS
+            cln, e = f"{prefix}.cln{site}", c.speaker_embedding_dim
+            yield f"{cln}.w_scale", (e, d), "ConditionalLN", ZEROS
+            yield f"{cln}.b_scale", (d,), "ConditionalLN", ONES
+            yield f"{cln}.w_bias", (e, d), "ConditionalLN", ZEROS
+            yield f"{cln}.b_bias", (d,), "ConditionalLN", ZEROS
         else:
-            yield f"{prefix}.ln{site}.gamma", (d,), ONES
-            yield f"{prefix}.ln{site}.beta", (d,), ZEROS
+            yield f"{prefix}.ln{site}.gamma", (d,), group, ONES
+            yield f"{prefix}.ln{site}.beta", (d,), group, ZEROS
 
 
-def _predictor_specs(c, prefix, out_dim):
+def _predictor_specs(c, prefix, group):
     d, pk = c.hidden_dim, c.predictor_kernel
     for i in ("1", "2"):
-        yield f"{prefix}.c{i}.kernel", (pk, d, d), ("uniform", pk * d)
-        yield f"{prefix}.c{i}.bias", (d,), ZEROS
-        yield f"{prefix}.ln{i}.gamma", (d,), ONES
-        yield f"{prefix}.ln{i}.beta", (d,), ZEROS
-    yield f"{prefix}.out.w", (d, out_dim), ("uniform", d)
-    yield f"{prefix}.out.b", (out_dim,), ZEROS
+        yield f"{prefix}.c{i}.kernel", (pk, d, d), group, ("uniform", pk * d)
+        yield f"{prefix}.c{i}.bias", (d,), group, ZEROS
+        yield f"{prefix}.ln{i}.gamma", (d,), group, ONES
+        yield f"{prefix}.ln{i}.beta", (d,), group, ZEROS
+    yield f"{prefix}.out.w", (d, 1), group, ("uniform", d)
+    yield f"{prefix}.out.b", (1,), group, ZEROS
 
 
 def param_specs(c: ModelConfig) -> tuple:
-    """Every parameter as (name, shape, initialiser), in registry order.
+    """Every parameter as (name, shape, group, initialiser), in registry order.
 
     The order is the initialisation's rng draw order, Adam's iteration order
     and the parameter order of every model built from a checkpoint.
     """
-    d = c.hidden_dim
-    specs = [("phoneme_embed", (c.phoneme_vocab_size, d), ("normal", 1.0))]
+    d, acou = c.hidden_dim, "AcousticCondition"
+    specs = [("phoneme_embed", (c.phoneme_vocab_size, d), "PhonemeEncoder",
+              ("normal", 1.0))]
     for i in range(c.n_encoder_blocks):
-        specs += _fft_block_specs(c, f"enc.{i}", conditional=False)
-    specs += _predictor_specs(c, "dur", 1)
-    specs += _predictor_specs(c, "pitch", 1)
+        specs += _fft_block_specs(c, f"enc.{i}", "PhonemeEncoder")
+    specs += _predictor_specs(c, "dur", "DurationPredictor")
+    specs += _predictor_specs(c, "pitch", "PitchPredictor")
     specs += [
-        ("pitch.proj.w", (1, d), ("uniform", 1)),
-        ("pitch.proj.b", (d,), ZEROS),
-        ("acou.ext1.kernel", (3, c.mel_dim, d), ("uniform", 3 * c.mel_dim)),
-        ("acou.ext1.bias", (d,), ZEROS),
-        ("acou.ext2.kernel", (3, d, d), ("uniform", 3 * d)),
-        ("acou.ext2.bias", (d,), ZEROS),
-        ("acou.dense.w", (d, d), ("uniform", d)),
-        ("acou.dense.b", (d,), ZEROS),
-        ("acou.pred1.kernel", (3, d, d), ("uniform", 3 * d)),
-        ("acou.pred1.bias", (d,), ZEROS),
-        ("acou.pred2.kernel", (3, d, d), ("uniform", 3 * d)),
-        ("acou.pred2.bias", (d,), ZEROS),
+        ("pitch.proj.w", (1, d), "PitchPredictor", ("uniform", 1)),
+        ("pitch.proj.b", (d,), "PitchPredictor", ZEROS),
+        ("acou.ext1.kernel", (3, c.mel_dim, d), acou, ("uniform", 3 * c.mel_dim)),
+        ("acou.ext1.bias", (d,), acou, ZEROS),
+        ("acou.ext2.kernel", (3, d, d), acou, ("uniform", 3 * d)),
+        ("acou.ext2.bias", (d,), acou, ZEROS),
+        ("acou.dense.w", (d, d), acou, ("uniform", d)),
+        ("acou.dense.b", (d,), acou, ZEROS),
+        ("acou.pred1.kernel", (3, d, d), acou, ("uniform", 3 * d)),
+        ("acou.pred1.bias", (d,), acou, ZEROS),
+        ("acou.pred2.kernel", (3, d, d), acou, ("uniform", 3 * d)),
+        ("acou.pred2.bias", (d,), acou, ZEROS),
     ]
     for i in range(c.n_decoder_blocks):
-        specs += _fft_block_specs(c, f"dec.{i}", conditional=True)
+        specs += _fft_block_specs(c, f"dec.{i}", "DecoderCore", conditional=True)
     specs += [
-        ("mel_out.w", (d, c.mel_dim), ("uniform", d)),
-        ("mel_out.b", (c.mel_dim,), ZEROS),
-        ("speaker_table", (c.n_speakers, c.speaker_embedding_dim), ("normal", 0.5)),
-        ("melenc.in.w", (c.mel_dim, d), ("uniform", c.mel_dim)),
-        ("melenc.in.b", (d,), ZEROS),
+        ("mel_out.w", (d, c.mel_dim), "MelLinear", ("uniform", d)),
+        ("mel_out.b", (c.mel_dim,), "MelLinear", ZEROS),
+        ("speaker_table", (c.n_speakers, c.speaker_embedding_dim), "SpeakerTable",
+         ("normal", 0.5)),
+        ("melenc.in.w", (c.mel_dim, d), "MelEncoder", ("uniform", c.mel_dim)),
+        ("melenc.in.b", (d,), "MelEncoder", ZEROS),
     ]
     for i in range(c.n_mel_encoder_blocks):
-        specs += _fft_block_specs(c, f"melenc.{i}", conditional=False)
+        specs += _fft_block_specs(c, f"melenc.{i}", "MelEncoder")
     return tuple(specs)
 
 
@@ -199,7 +181,13 @@ def param_shapes(c: ModelConfig) -> MappingProxyType:
     Checkpoint loading checks names and shapes against it without drawing
     an initialisation.
     """
-    return MappingProxyType({name: shape for name, shape, _ in param_specs(c)})
+    return MappingProxyType({name: shape for name, shape, _, _ in param_specs(c)})
+
+
+@lru_cache(maxsize=64)
+def param_groups(c: ModelConfig) -> MappingProxyType:
+    """Read-only {name: group} in registry order, built once per config."""
+    return MappingProxyType({name: group for name, _, group, _ in param_specs(c)})
 
 
 def _draw(rng, shape, init):
@@ -220,7 +208,7 @@ class TtsModel:
         self.config = config
         self.params: dict[str, Tensor] = {
             name: Tensor(_draw(rng, shape, init), requires_grad=True)
-            for name, shape, init in param_specs(config)
+            for name, shape, _, init in param_specs(config)
         }
 
     @classmethod
@@ -239,8 +227,8 @@ class TtsModel:
 
     def groups(self) -> dict:
         out = {g: [] for g in GROUPS}
-        for name in self.params:
-            out[group_of(name)].append(name)
+        for name, group in param_groups(self.config).items():
+            out[group].append(name)
         return out
 
     def set_trainable(self, groups):
@@ -248,15 +236,13 @@ class TtsModel:
         unknown = set(groups) - set(GROUPS)
         if unknown:
             raise ConfigError(f"unknown parameter groups: {sorted(unknown)}")
+        labels = param_groups(self.config)
         for name, t in self.params.items():
-            t.requires_grad = group_of(name) in groups
+            t.requires_grad = labels[name] in groups
             t.grad = None
 
     def trainable_params(self) -> dict:
         return {n: t for n, t in self.params.items() if t.requires_grad}
-
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.params.values())
 
     def speaker_context(self, speaker_id: int) -> SpeakerContext:
         table = self.params["speaker_table"]

@@ -13,7 +13,7 @@ from . import model as mm
 from .autodiff import Tape, Tensor, backward
 from .checkpoint import Checkpoint, assert_freeze
 from .errors import ConfigError, NumericError
-from .model import GROUPS, TtsModel, group_of
+from .model import GROUPS, TtsModel
 from .optim import AdamState, LrSchedule, adam_step
 from .synthdata import MelOnlyUtterance, corpus_hash
 
@@ -21,7 +21,23 @@ STAGE_SOURCE = "source_training"
 STAGE_ALIGN = "mel_encoder_aligning"
 STAGE_ADAPT = "untranscribed_adaptation"
 
-VARIANTS = ("main", "joint_training", "no_l2", "finetune_mel_encoder_and_decoder")
+# stage -> variant -> the parameter groups it trains. An adaptation plan with
+# `adapt_speaker_row` also trains the adapted speaker's SpeakerTable row.
+TRAINS = {
+    STAGE_SOURCE: {
+        "main": frozenset(GROUPS) - {"MelEncoder"},
+        "joint_training": frozenset(GROUPS),
+    },
+    STAGE_ALIGN: {
+        "main": frozenset({"MelEncoder"}),
+        "no_l2": frozenset({"MelEncoder"}),
+    },
+    STAGE_ADAPT: {
+        "main": frozenset({"ConditionalLN"}),
+        "finetune_mel_encoder_and_decoder":
+            frozenset({"ConditionalLN", "MelEncoder", "DecoderCore"}),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -31,7 +47,6 @@ class StagePlan:
     batch_size: int = 4
     seed: int = 0
     schedule: LrSchedule = field(default_factory=LrSchedule)
-    trainable_groups: frozenset = frozenset()
     loss_weights: tuple = ()          # ((name, weight), ...), order fixed
     variant: str = "main"
     adapt_speaker_row: bool = True    # adaptation only
@@ -40,35 +55,22 @@ class StagePlan:
     adam_epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.stage not in (STAGE_SOURCE, STAGE_ALIGN, STAGE_ADAPT):
+        if self.stage not in TRAINS:
             raise ConfigError(f"unknown stage '{self.stage}'")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant '{self.variant}'")
+        if self.variant not in TRAINS[self.stage]:
+            raise ConfigError(
+                f"variant '{self.variant}' is not a {self.stage} variant "
+                f"(choose from {sorted(TRAINS[self.stage])})"
+            )
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
-        unknown = set(self.trainable_groups) - set(GROUPS)
-        if unknown:
-            raise ConfigError(f"unknown parameter groups: {sorted(unknown)}")
-        self._check_trainable_set()
 
-    def _check_trainable_set(self):
-        got = set(self.trainable_groups)
-        if self.stage == STAGE_SOURCE:
-            want = (set(GROUPS) if self.variant == "joint_training"
-                    else set(GROUPS) - {"MelEncoder"})
-        elif self.stage == STAGE_ALIGN:
-            want = {"MelEncoder"}
-        else:
-            want = {"ConditionalLN"}
-            if self.adapt_speaker_row:
-                want |= {"SpeakerTable"}
-            if self.variant == "finetune_mel_encoder_and_decoder":
-                want |= {"MelEncoder", "DecoderCore"}
-        if got != want:
-            raise ConfigError(
-                f"stage {self.stage} (variant {self.variant}) must train "
-                f"{sorted(want)}, plan says {sorted(got)}"
-            )
+    @property
+    def trainable_groups(self) -> frozenset:
+        groups = TRAINS[self.stage][self.variant]
+        if self.stage == STAGE_ADAPT and self.adapt_speaker_row:
+            groups |= {"SpeakerTable"}
+        return groups
 
     def weights(self) -> dict:
         return dict(self.loss_weights)
@@ -76,30 +78,23 @@ class StagePlan:
 
 def source_plan(steps=2000, batch_size=4, seed=0, variant="main",
                 peak_scale=0.02, warmup=100, alignment_weight=1.0, **adam):
-    groups = set(GROUPS) - {"MelEncoder"}
-    weights = [("mel", 1.0), ("duration", 1.0), ("pitch", 1.0), ("acoustic", 1.0)]
+    weights = (("mel", 1.0), ("duration", 1.0), ("pitch", 1.0), ("acoustic", 1.0))
     if variant == "joint_training":
-        groups = set(GROUPS)
-        weights.append(("alignment", alignment_weight))
-        weights.append(("reconstruction", 1.0))
+        weights += (("alignment", alignment_weight), ("reconstruction", 1.0))
     return StagePlan(
         stage=STAGE_SOURCE, steps=steps, batch_size=batch_size, seed=seed,
         schedule=LrSchedule(kind="inverse_sqrt", value=peak_scale, warmup=warmup),
-        trainable_groups=frozenset(groups), loss_weights=tuple(weights),
-        variant=variant, **adam,
+        loss_weights=weights, variant=variant, **adam,
     )
 
 
 def align_plan(steps=500, batch_size=4, seed=1, learning_rate=1e-3,
                alignment_weight=1.0, variant="main", **adam):
-    if variant not in ("main", "no_l2"):
-        raise ConfigError(f"variant '{variant}' is not an aligning variant")
     if variant == "no_l2":
         alignment_weight = 0.0
     return StagePlan(
         stage=STAGE_ALIGN, steps=steps, batch_size=batch_size, seed=seed,
         schedule=LrSchedule(kind="constant", value=learning_rate),
-        trainable_groups=frozenset({"MelEncoder"}),
         loss_weights=(("reconstruction", 1.0), ("alignment", alignment_weight)),
         variant=variant, **adam,
     )
@@ -107,17 +102,9 @@ def align_plan(steps=500, batch_size=4, seed=1, learning_rate=1e-3,
 
 def adapt_plan(steps=200, batch_size=4, seed=2, learning_rate=1e-3,
                adapt_speaker_row=True, variant="main", **adam):
-    if variant not in ("main", "finetune_mel_encoder_and_decoder"):
-        raise ConfigError(f"variant '{variant}' is not an adaptation variant")
-    groups = {"ConditionalLN"}
-    if adapt_speaker_row:
-        groups |= {"SpeakerTable"}
-    if variant == "finetune_mel_encoder_and_decoder":
-        groups |= {"MelEncoder", "DecoderCore"}
     return StagePlan(
         stage=STAGE_ADAPT, steps=steps, batch_size=batch_size, seed=seed,
         schedule=LrSchedule(kind="constant", value=learning_rate),
-        trainable_groups=frozenset(groups),
         loss_weights=(("reconstruction", 1.0),),
         variant=variant, adapt_speaker_row=adapt_speaker_row, **adam,
     )
@@ -135,13 +122,14 @@ def _run_stage(model, plan, items, loss_fn, metrics):
     """
     if not items:
         raise ConfigError(f"stage {plan.stage} has no training records")
-    model.set_trainable(set(plan.trainable_groups))
+    model.set_trainable(plan.trainable_groups)
     trainable = model.trainable_params()
     if not trainable:
         raise ConfigError(f"stage {plan.stage} trains no parameters")
     state = AdamState(learning_rate=plan.schedule.value, beta1=plan.adam_beta1,
                       beta2=plan.adam_beta2, epsilon=plan.adam_epsilon)
     weights = plan.weights()
+    labels = mm.param_groups(model.config)
     rng = np.random.default_rng(plan.seed)
     for step in range(plan.steps):
         picks = rng.integers(0, len(items), size=plan.batch_size)
@@ -170,10 +158,9 @@ def _run_stage(model, plan, items, loss_fn, metrics):
         for name, t in trainable.items():
             grads[name] = t.grad if t.grad is not None else np.zeros(t.shape)
         state.learning_rate = plan.schedule.at(state.t + 1)
-        adam_step(trainable, grads, state, group_of=group_of)
+        adam_step(trainable, grads, state, group_of=labels.__getitem__)
         for t in model.params.values():
             t.grad = None
-    return state, rng
 
 
 # -- per-stage loss builders ----------------------------------------------
@@ -255,10 +242,27 @@ def _adapt_losses(model, record, key, cache):
 # -- stage entry points ----------------------------------------------------
 
 
-def _abort_with_last_good(model, plan, provenance, exc):
-    ckpt = Checkpoint.from_model(model, provenance={**provenance, "aborted": True})
-    exc.last_good = ckpt
-    raise exc
+def _train(model, plan, items, loss_fn, before, provenance, rows=None):
+    """Run `plan` on `model` and snapshot the result with `provenance`.
+
+    A non-finite loss re-raises with `last_good`, the model as it stood,
+    attached. The snapshot is audited bitwise against `before`: only the
+    groups the plan trains may change, and of a tensor named in `rows`
+    ({name: row indices}) only those rows. Returns (checkpoint, metrics).
+    """
+    metrics = []
+    try:
+        _run_stage(model, plan, items, loss_fn, metrics)
+    except NumericError as exc:
+        exc.last_good = Checkpoint.from_model(
+            model, provenance={**provenance, "aborted": True})
+        raise
+    out = Checkpoint.from_model(model, provenance=provenance)
+    rows = rows or {}
+    allowed = {n for n, g in mm.param_groups(model.config).items()
+               if g in plan.trainable_groups and n not in rows}
+    assert_freeze(before, out, allowed, allowed_rows=rows, stage=plan.stage)
+    return out, metrics
 
 
 def train_source(corpus, config, plan):
@@ -273,46 +277,28 @@ def train_source(corpus, config, plan):
     if len(speakers) < 2:
         raise ConfigError("source training needs at least two speakers")
     model = TtsModel(config, seed=plan.seed)
-    init = Checkpoint.from_model(model)
-    metrics = []
     provenance = {
         "stage": STAGE_SOURCE, "variant": plan.variant, "steps": plan.steps,
         "seed": plan.seed, "trained_speakers": speakers,
         "corpus_hash": corpus_hash(corpus),
     }
     joint = plan.variant == "joint_training"
-    try:
-        _run_stage(model, plan, train.utterances,
-                   lambda m, u, _: _source_losses(m, u, with_alignment=joint),
-                   metrics)
-    except NumericError as exc:
-        _abort_with_last_good(model, plan, provenance, exc)
-    out = Checkpoint.from_model(model, provenance=provenance)
-    allowed = {n for n in model.params if group_of(n) in plan.trainable_groups}
-    assert_freeze(init, out, allowed, stage=plan.stage)
-    return out, metrics
+    return _train(model, plan, train.utterances,
+                  lambda m, u, _: _source_losses(m, u, with_alignment=joint),
+                  Checkpoint.from_model(model), provenance)
 
 
 def align_mel_encoder(source_ckpt, corpus, plan):
     """Stage two: fit the mel encoder to the frozen phoneme-side latents."""
     if plan.stage != STAGE_ALIGN:
         raise ConfigError(f"expected a {STAGE_ALIGN} plan, got {plan.stage}")
-    model = source_ckpt.to_model()
-    metrics = []
     provenance = {
         **{k: v for k, v in source_ckpt.provenance.items() if k != "stage"},
         "stage": STAGE_ALIGN, "variant": plan.variant,
         "align_steps": plan.steps, "align_seed": plan.seed,
     }
-    try:
-        _run_stage(model, plan, corpus.train_split().utterances,
-                   partial(_align_losses, cache={}), metrics)
-    except NumericError as exc:
-        _abort_with_last_good(model, plan, provenance, exc)
-    out = Checkpoint.from_model(model, provenance=provenance)
-    allowed = {n for n in model.params if group_of(n) == "MelEncoder"}
-    assert_freeze(source_ckpt, out, allowed, stage=plan.stage)
-    return out, metrics
+    return _train(source_ckpt.to_model(), plan, corpus.train_split().utterances,
+                  partial(_align_losses, cache={}), source_ckpt, provenance)
 
 
 def adapt_untranscribed(aligned_ckpt, records, plan):
@@ -343,8 +329,6 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
             config=aligned_ckpt.config,
             params={n: a.copy() for n, a in aligned_ckpt.params.items()},
             provenance=dict(aligned_ckpt.provenance),
-            rng_state=aligned_ckpt.rng_state,
-            adam=aligned_ckpt.adam,
         ), []
 
     model = aligned_ckpt.to_model()
@@ -356,7 +340,6 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
 
     seen_fields = set()
     audited = [_AuditedRecord(r, seen_fields) for r in records]
-    metrics = []
     provenance = {
         **{k: v for k, v in aligned_ckpt.provenance.items() if k != "stage"},
         "stage": STAGE_ADAPT, "variant": plan.variant,
@@ -364,22 +347,15 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
         "adapted_speaker": target, "n_adapt_utterances": len(records),
         "speaker_row_adapted": bool(plan.adapt_speaker_row),
     }
-    try:
-        _run_stage(model, plan, audited, partial(_adapt_losses, cache={}), metrics)
-    except NumericError as exc:
-        _abort_with_last_good(model, plan, provenance, exc)
+    rows = {"speaker_table": [target]} if plan.adapt_speaker_row else None
+    out, metrics = _train(model, plan, audited, partial(_adapt_losses, cache={}),
+                          aligned_ckpt, provenance, rows)
 
     banned = seen_fields - {"mel", "speaker_id", "utterance_id"}
     if banned:
         raise ConfigError(f"adaptation read transcript-adjacent fields: {sorted(banned)}")
-    provenance["field_audit"] = sorted(seen_fields)
-    provenance["trained_speakers"] = sorted(set(trained) | {target})
-
-    out = Checkpoint.from_model(model, provenance=provenance)
-    allowed = {n for n in model.params
-               if group_of(n) in plan.trainable_groups - {"SpeakerTable"}}
-    rows = {"speaker_table": [target]} if plan.adapt_speaker_row else None
-    assert_freeze(aligned_ckpt, out, allowed, allowed_rows=rows, stage=plan.stage)
+    out.provenance["field_audit"] = sorted(seen_fields)
+    out.provenance["trained_speakers"] = sorted(set(trained) | {target})
     return out, metrics
 
 

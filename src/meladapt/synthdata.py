@@ -173,21 +173,15 @@ class Corpus:
     def of_speaker(self, speaker_id):
         return [u for u in self.utterances if u.speaker_id == speaker_id]
 
-    def _split(self, which):
+    def train_split(self):
+        """Per speaker, all but the last 20 percent of records (at least one
+        held back when the speaker has two or more)."""
         out = []
         for s in self.speakers():
             utts = self.of_speaker(s)
-            n_eval = max(1, int(round(0.2 * len(utts)))) if len(utts) > 1 else 0
-            cut = len(utts) - n_eval
-            out.extend(utts[:cut] if which == "train" else utts[cut:])
+            n_held = max(1, int(round(0.2 * len(utts)))) if len(utts) > 1 else 0
+            out.extend(utts[:len(utts) - n_held])
         return Corpus(self.spec, out)
-
-    def train_split(self):
-        return self._split("train")
-
-    def eval_split(self):
-        """Per speaker, the last 20 percent of records (at least one)."""
-        return self._split("eval")
 
 
 def gen_corpus(spec, n_speakers, utts_per_speaker, first_speaker=0) -> Corpus:

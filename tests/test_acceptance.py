@@ -26,7 +26,7 @@ from meladapt.config import desk_config
 from meladapt.errors import ConfigError, FreezeViolation
 from meladapt.evalmetrics import paired_report
 from meladapt.gradcheck import grad_check
-from meladapt.model import ModelConfig, TtsModel, group_of
+from meladapt.model import ModelConfig, TtsModel, param_groups
 
 REPO = Path(__file__).resolve().parent.parent
 REF = json.loads((REPO / "configs" / "reference_desk.json").read_text())
@@ -188,13 +188,14 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_freeze_suite(bench, source_ckpt, aligned_ckpt, adapted_main):
     diff_align = param_diff(source_ckpt, aligned_ckpt)
     assert diff_align, "aligning changed nothing"
-    bad = [n for n in diff_align if group_of(n) != "MelEncoder"]
+    label = param_groups(aligned_ckpt.config)
+    bad = [n for n in diff_align if label[n] != "MelEncoder"]
     assert not bad, f"aligning touched non-mel-encoder params: {bad}"
 
     for speaker, ckpt in adapted_main.items():
         diff = param_diff(aligned_ckpt, ckpt)
         assert diff, "adaptation changed nothing"
-        groups = {group_of(n) for n in diff}
+        groups = {label[n] for n in diff}
         assert groups <= {"ConditionalLN", "SpeakerTable"}, groups
         if "speaker_table" in diff:
             before = aligned_ckpt.params["speaker_table"]

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from meladapt import binio
 from meladapt import checkpoint as cp
 from meladapt import model as m
 from meladapt.errors import CheckpointFormatError, FreezeViolation
@@ -67,13 +71,11 @@ class TestSnapshot:
 
 class TestSerialization:
     def test_save_load_save_byte_identical(self, tiny, tmp_path):
-        rng = np.random.default_rng(3)
         state = AdamState(learning_rate=0.01)
         grads = {n: np.full(t.shape, 0.1) for n, t in tiny.params.items()}
         adam_step(tiny.params, grads, state)
         ckpt = cp.Checkpoint.from_model(
-            tiny, provenance={"stage": "source_training", "steps": 1},
-            rng=rng, adam_state=state)
+            tiny, provenance={"stage": "source_training", "steps": 1})
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         cp.save_checkpoint(ckpt, p1)
         loaded = cp.load_checkpoint(p1)
@@ -91,26 +93,39 @@ class TestSerialization:
         for n in ckpt.params:
             assert np.array_equal(loaded.params[n], ckpt.params[n])
 
-    def test_rng_state_round_trips(self, tiny, tmp_path):
-        rng = np.random.default_rng(9)
-        rng.normal(size=100)  # advance
-        ckpt = cp.Checkpoint.from_model(tiny, rng=rng)
-        path = tmp_path / "r.ckpt"
-        cp.save_checkpoint(ckpt, path)
-        restored = np.random.default_rng()
-        restored.bit_generator.state = cp.load_checkpoint(path).rng_state
-        assert np.array_equal(rng.normal(size=5), restored.normal(size=5))
+    def test_meta_holds_config_and_provenance_only(self, tiny, tmp_path):
+        path = tmp_path / "c.ckpt"
+        cp.save_checkpoint(snap(tiny, stage="source_training"), path)
+        meta, arrays = binio.read_container(path, cp.CKPT_MAGIC, cp.CKPT_VERSION)
+        assert sorted(meta) == ["model_config", "provenance"]
+        assert all(n.startswith("param.") for n in arrays)
 
-    def test_adam_buffers_round_trip(self, tiny, tmp_path):
-        state = AdamState(learning_rate=0.02)
-        grads = {n: np.full(t.shape, 0.3) for n, t in tiny.params.items()}
-        adam_step(tiny.params, grads, state)
-        ckpt = cp.Checkpoint.from_model(tiny, adam_state=state)
-        path = tmp_path / "adam.ckpt"
-        cp.save_checkpoint(ckpt, path)
+    def test_older_format_with_null_resume_keys_loads(self, tiny, tmp_path):
+        # files written before the resume fields went carry two null meta keys
+        ckpt = snap(tiny, stage="source_training", seed=7)
+        meta = {"model_config": TINY.to_dict(), "provenance": ckpt.provenance,
+                "rng_state": None, "adam_hyper": None}
+        path = tmp_path / "old.ckpt"
+        binio.write_container(path, cp.CKPT_MAGIC, cp.CKPT_VERSION, meta,
+                              {f"param.{n}": a for n, a in ckpt.params.items()})
         loaded = cp.load_checkpoint(path)
-        assert loaded.adam["hyper"]["t"] == 1
-        assert np.array_equal(loaded.adam["m"]["mel_out.w"], state.m["mel_out.w"])
+        assert loaded.provenance == {"stage": "source_training", "seed": 7}
+        assert cp.param_diff(ckpt, loaded) == []
+        resaved = tmp_path / "new.ckpt"
+        cp.save_checkpoint(loaded, resaved)
+        cp.save_checkpoint(cp.load_checkpoint(resaved), tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == resaved.read_bytes()
+
+    def test_resume_arrays_rejected(self, tiny, tmp_path):
+        ckpt = snap(tiny)
+        arrays = {f"param.{n}": a for n, a in ckpt.params.items()}
+        arrays["adam_m.mel_out.b"] = np.zeros(TINY.mel_dim)
+        path = tmp_path / "m.ckpt"
+        binio.write_container(path, cp.CKPT_MAGIC, cp.CKPT_VERSION,
+                              {"model_config": TINY.to_dict(), "provenance": {}}, arrays)
+        with pytest.raises(CheckpointFormatError) as e:
+            cp.load_checkpoint(path)
+        assert e.value.code == "unknown-names"
 
     def test_corrupted_magic(self, tiny, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -139,6 +154,44 @@ class TestSerialization:
         with pytest.raises(CheckpointFormatError) as e:
             cp.load_checkpoint(path)
         assert e.value.code == "unknown-names"
+
+
+def _container(header, payload=b""):
+    head = json.dumps(header).encode()
+    return (cp.CKPT_MAGIC + struct.pack("<I", cp.CKPT_VERSION)
+            + struct.pack("<Q", len(head)) + head + payload)
+
+
+class TestContainerSchema:
+    ONE = {"name": "a", "dtype": "f8", "shape": [1]}
+
+    @pytest.mark.parametrize("header", [
+        [{"meta": {}, "arrays": []}],                                  # list header
+        {"meta": [], "arrays": []},                                    # list meta
+        {"meta": {}, "arrays": {"a": ONE}},                            # non-list arrays
+        {"meta": {}, "arrays": [{**ONE, "name": 7}]},                  # non-str name
+        {"meta": {}, "arrays": [ONE, ONE]},                            # duplicate name
+        {"meta": {}, "arrays": [{**ONE, "shape": [1.0]}]},             # float dim
+        {"meta": {}, "arrays": [{**ONE, "shape": "1"}]},               # string shape
+        {"meta": {}, "arrays": [{**ONE, "shape": [True]}]},            # bool dim
+        {"meta": {}, "arrays": [{**ONE, "shape": [-1]}]},              # negative dim
+        {"meta": {}, "arrays": [{**ONE, "dtype": ["f8"]}]},            # unhashable dtype
+        {"meta": {}, "arrays": ["a"]},                                 # non-object entry
+    ])
+    def test_malformed_header_is_a_format_error(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_container(header, b"\x00" * 16))
+        with pytest.raises(CheckpointFormatError):
+            binio.read_container(path, cp.CKPT_MAGIC, cp.CKPT_VERSION)
+
+    @pytest.mark.parametrize("provenance", [["stage"], "source_training", None])
+    def test_non_object_provenance_is_a_format_error(self, tiny, tmp_path, provenance):
+        path = tmp_path / "p.ckpt"
+        binio.write_container(path, cp.CKPT_MAGIC, cp.CKPT_VERSION,
+                              {"model_config": TINY.to_dict(), "provenance": provenance},
+                              {f"param.{n}": t.data for n, t in tiny.params.items()})
+        with pytest.raises(CheckpointFormatError, match="malformed meta"):
+            cp.load_checkpoint(path)
 
 
 class TestDiffAndFreeze:

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,27 @@ class TestExitCodes:
                          "--speaker", "0", "--out", str(tmp_path / "x.mel")])
         assert code == 5
         assert "malformed meta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("breakage", ["string_shape", "duplicate_array"])
+    def test_malformed_container_header_is_exit_5(self, workdir, tmp_path, breakage,
+                                                  capsys):
+        blob = (workdir / "source.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[12:20])
+        header = json.loads(blob[20:20 + hlen])
+        if breakage == "string_shape":
+            header["arrays"][0]["shape"] = str(header["arrays"][0]["shape"])
+        else:
+            header["arrays"][1]["name"] = header["arrays"][0]["name"]
+        head = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:12] + struct.pack("<Q", len(head)) + head
+                        + blob[20 + hlen:])
+        text = tmp_path / "text.txt"
+        text.write_text("1 2 3\n")
+        code = cli.main(["synthesize", "--ckpt", str(bad), "--text-file", str(text),
+                         "--speaker", "0", "--out", str(tmp_path / "x.mel")])
+        assert code == 5
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_subcommand_raises_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -20,14 +20,11 @@ class TestMelDistance:
     def test_identical_is_zero(self):
         a = _mel(np.random.default_rng(0), 9)
         assert ev.mel_distance(a, a).value == 0.0
-        assert ev.mel_distance(a, a, mode="mse").value == 0.0
 
     def test_constant_offset_mae(self):
         a = _mel(np.random.default_rng(1), 7)
         d = ev.mel_distance(a, a + 0.25)
         assert d.value == pytest.approx(0.25, abs=1e-15)
-        assert ev.mel_distance(a, a + 0.25, mode="mse").value == pytest.approx(
-            0.0625, abs=1e-15)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
@@ -55,19 +52,13 @@ class TestMelDistance:
         with pytest.raises(ShapeError):
             ev.mel_distance(np.zeros((3, 6)), np.zeros((3, 5)))
 
-    def test_unknown_mode_rejected(self):
-        a = np.zeros((2, 2))
-        with pytest.raises(ConfigError):
-            ev.mel_distance(a, a, mode="rmse")
-
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         t = int(rng.integers(1, 12))
         a, b = _mel(rng, t, 4), _mel(rng, t, 4)
-        for mode in ("mae", "mse"):
-            assert ev.mel_distance(a, b, mode).value == ev.mel_distance(b, a, mode).value
+        assert ev.mel_distance(a, b).value == ev.mel_distance(b, a).value
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)

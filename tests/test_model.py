@@ -52,14 +52,26 @@ class TestPartition:
                   "MelLinear", "SpeakerTable", "MelEncoder"):
             assert groups[g], f"group {g} is empty"
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError):
-            m.group_of("nonsense.w")
+    def test_unknown_name_rejected(self, tiny):
+        with pytest.raises(ConfigError, match="Nonsense"):
+            tiny.set_trainable({"MelEncoder", "Nonsense"})
+
+    def test_param_groups_cover_registry_in_order(self):
+        groups = m.param_groups(TINY)
+        assert list(groups) == list(m.param_shapes(TINY))
+        assert set(groups.values()) == set(m.GROUPS)
+        assert [(n, g) for n, _, g, _ in m.param_specs(TINY)] == list(groups.items())
+        assert m.param_groups(m.ModelConfig(**TINY.to_dict())) is groups
+        with pytest.raises(TypeError):
+            groups["mel_out.b"] = "DecoderCore"
 
     def test_cln_separated_from_decoder_core(self, tiny):
         groups = tiny.groups()
-        assert all(".cln" in n for n in groups["ConditionalLN"])
+        assert groups["ConditionalLN"] == [n for n in tiny.params if ".cln" in n]
         assert not any(".cln" in n for n in groups["DecoderCore"])
+        desk = m.param_groups(m.ModelConfig())
+        assert [n for n, g in desk.items() if g == "ConditionalLN"] == \
+            [n for n in desk if ".cln" in n]
 
     def test_set_trainable_scopes_grads(self, tiny):
         tiny.set_trainable({"MelEncoder"})

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ def aligned_ckpt(source_ckpt, corpus):
     return ckpt
 
 
+# every (stage, variant, adapt_speaker_row) and the groups its plan trains
+_ALL = set(m.GROUPS)
+TRAINABLE = [
+    (pl.STAGE_SOURCE, "main", row, _ALL - {"MelEncoder"}) for row in (True, False)
+] + [
+    (pl.STAGE_SOURCE, "joint_training", row, _ALL) for row in (True, False)
+] + [
+    (pl.STAGE_ALIGN, v, row, {"MelEncoder"})
+    for v in ("main", "no_l2") for row in (True, False)
+] + [
+    (pl.STAGE_ADAPT, "main", True, {"ConditionalLN", "SpeakerTable"}),
+    (pl.STAGE_ADAPT, "main", False, {"ConditionalLN"}),
+    (pl.STAGE_ADAPT, "finetune_mel_encoder_and_decoder", True,
+     {"ConditionalLN", "SpeakerTable", "MelEncoder", "DecoderCore"}),
+    (pl.STAGE_ADAPT, "finetune_mel_encoder_and_decoder", False,
+     {"ConditionalLN", "MelEncoder", "DecoderCore"}),
+]
+
+
 class TestStagePlan:
     def test_source_trains_all_but_mel_encoder(self):
         plan = pl.source_plan(steps=1)
@@ -57,9 +77,29 @@ class TestStagePlan:
             == {"ConditionalLN"}
 
     def test_wrong_trainable_set_rejected(self):
-        with pytest.raises(ConfigError):
+        # the set follows from stage and variant; a plan cannot declare another
+        with pytest.raises(TypeError):
             pl.StagePlan(stage=pl.STAGE_ALIGN, steps=1,
                          trainable_groups=frozenset({"DecoderCore"}))
+        with pytest.raises(TypeError):
+            replace(pl.align_plan(steps=1), trainable_groups=frozenset({"DecoderCore"}))
+
+    @pytest.mark.parametrize("stage,variant,row,groups", TRAINABLE)
+    def test_trainable_groups_per_stage_variant_and_row(self, stage, variant, row, groups):
+        plan = pl.StagePlan(stage=stage, steps=1, variant=variant, adapt_speaker_row=row)
+        assert plan.trainable_groups == groups
+        assert replace(plan, steps=7, batch_size=2).trainable_groups == groups
+
+    def test_table_covers_every_combination(self):
+        assert {(s, v) for s, v, _, _ in TRAINABLE} == {
+            (s, v) for s, variants in pl.TRAINS.items() for v in variants}
+
+    @pytest.mark.parametrize("stage,variant", [
+        (pl.STAGE_SOURCE, "no_l2"), (pl.STAGE_ALIGN, "joint_training"),
+        (pl.STAGE_ADAPT, "no_l2"), ("mystery_stage", "main")])
+    def test_variant_of_another_stage_rejected(self, stage, variant):
+        with pytest.raises(ConfigError):
+            pl.StagePlan(stage=stage, steps=1, variant=variant)
 
     def test_joint_variant_trains_everything(self):
         plan = pl.source_plan(steps=1, variant="joint_training")
@@ -78,8 +118,7 @@ class TestStagePlan:
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            pl.StagePlan(stage=pl.STAGE_SOURCE, steps=1, variant="mystery",
-                         trainable_groups=frozenset(m.GROUPS))
+            pl.StagePlan(stage=pl.STAGE_SOURCE, steps=1, variant="mystery")
 
 
 class TestTrainSource:
@@ -190,6 +229,19 @@ class TestAdaptUntranscribed:
         after = out.params["speaker_table"]
         assert np.array_equal(before[:3], after[:3])  # source rows frozen
         assert not np.array_equal(before[3], after[3])
+
+    def test_other_speaker_row_change_is_a_freeze_violation(self, aligned_ckpt,
+                                                            adapt_records, monkeypatch):
+        # a loss wired to a source speaker's row trains a row the audit forbids
+        def wrong_row(model, record, key, cache):
+            mel = Tensor(record.mel)
+            recon = me.reconstruction_forward(model, mel, model.speaker_context(0))
+            return {"reconstruction": ad.masked_mae(recon, mel)}
+
+        monkeypatch.setattr(pl, "_adapt_losses", wrong_row)
+        with pytest.raises(FreezeViolation, match="speaker_table"):
+            pl.adapt_untranscribed(aligned_ckpt, adapt_records,
+                                   pl.adapt_plan(steps=2, seed=2))
 
     def test_row_flag_off_keeps_table(self, aligned_ckpt, adapt_records):
         out, _ = pl.adapt_untranscribed(

@@ -99,22 +99,29 @@ class TestSpeakerSeparation:
         assert inter > intra
 
 
+def _keys(utts):
+    return [(u.speaker_id, u.utterance_id) for u in utts]
+
+
 class TestSplits:
     def test_80_20_per_speaker(self):
         corpus = sd.gen_corpus(SPEC, 2, 60)
-        train, evl = corpus.train_split(), corpus.eval_split()
+        train = corpus.train_split()
         for s in (0, 1):
-            assert len(train.of_speaker(s)) == 48
-            assert len(evl.of_speaker(s)) == 12
-        train_ids = {(u.speaker_id, u.utterance_id) for u in train.utterances}
-        eval_ids = {(u.speaker_id, u.utterance_id) for u in evl.utterances}
-        assert not train_ids & eval_ids
+            # the first 48 of each speaker's 60 records, in corpus order
+            assert _keys(train.of_speaker(s)) == _keys(corpus.of_speaker(s)[:48])
+        assert train.spec == corpus.spec
 
     def test_adaptation_sized_split(self):
         corpus = sd.gen_corpus(SPEC, 1, 125, first_speaker=8)
         assert len(corpus.train_split().utterances) == 100
-        assert len(corpus.eval_split().utterances) == 25
-        assert corpus.speakers() == [8]
+        assert corpus.train_split().speakers() == [8]
+
+    def test_small_speakers_keep_a_record(self):
+        corpus = sd.gen_corpus(SPEC, 1, 2)
+        assert _keys(corpus.train_split().utterances) == _keys(corpus.utterances[:1])
+        single = sd.gen_corpus(SPEC, 1, 1)
+        assert _keys(single.train_split().utterances) == _keys(single.utterances)
 
 
 class TestStripTranscripts:

@@ -2,9 +2,21 @@
 
 A `Tensor` wraps an n-dimensional float64 array plus an optional gradient of
 the same shape. Operators are pure functions of their inputs; while a `Tape`
-is active they append a backward closure to it. `backward(loss, tape)` seeds
-the scalar loss gradient and replays the closures in exact reverse execution
-order, accumulating additively into every `requires_grad` ancestor.
+is active they append one backward record to it. `backward(loss, tape)`
+seeds the scalar loss gradient and replays the records in exact reverse
+execution order, accumulating additively into every `requires_grad`
+ancestor.
+
+Every op states three things: its checks, its forward value, and one
+gradient function per parent. It hands the value and the `(parent, grad_fn)`
+pairs to `_op`, and `_op` and `backward` together are the tape protocol:
+- the output tracks iff a tape is active and some parent tracks;
+- a tracking output appends exactly one record, `(output, pairs)`, to the
+  innermost tape;
+- replaying a record does nothing when the output got no gradient `g`;
+- otherwise it calls `grad_fn(g)` for each tracking parent, in the order the
+  op lists them, and adds the result into that parent's `grad`. A frozen
+  parent's gradient is never computed and its `grad` stays None.
 
 Broadcasting is deliberately narrow: elementwise binary ops accept equal
 shapes, or a second operand of shape (d,) or (1, d) broadcast over the rows
@@ -12,6 +24,8 @@ of a (T, d) first operand. Anything else raises `ShapeError`.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,8 +66,8 @@ class Tensor:
 class Tape:
     """Ordered record of executed operations for one run context.
 
-    Use as a context manager; ops executed inside record their backward
-    closures here. Nesting pushes/pops a stack, innermost tape records.
+    Use as a context manager; ops executed inside append their backward
+    records here. Nesting pushes/pops a stack, innermost tape records.
     """
 
     __slots__ = ("_records",)
@@ -74,34 +88,46 @@ class Tape:
         return len(self._records)
 
 
-def _tape():
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+def _op(data, *pairs):
+    """Output tensor of one op, recorded by the tape protocol above.
 
-
-def _accumulate(t, g):
-    if t.grad is None:
-        t.grad = np.array(g)  # copy: g may alias a consumer's buffer
+    `pairs` are `(parent, grad_fn)` in the op's accumulation order;
+    `grad_fn(g)` maps the output's gradient to that parent's.
+    """
+    out = Tensor(data)
+    if not _ACTIVE_TAPES:
+        return out
+    for parent, _ in pairs:  # any() over a generator costs more on this per-op path
+        if parent.requires_grad:
+            break
     else:
-        t.grad += g
-
-
-def _result(data, *parents):
-    """Build the output tensor; track it iff a tape is active and any parent tracks."""
-    tape = _tape()
-    rg = tape is not None and any(p.requires_grad for p in parents)
-    return Tensor(data, rg), (tape if rg else None)
+        return out
+    out.requires_grad = True
+    _ACTIVE_TAPES[-1]._records.append((out, pairs))
+    return out
 
 
 def backward(loss, tape, seed=1.0):
     """Populate gradients of every tracked ancestor of a scalar loss.
 
-    Tensors not feeding the loss are left untouched (their grad stays None).
+    Replays the tape's records in reverse. Tensors not feeding the loss are
+    left untouched (their grad stays None). A parent's first gradient is
+    stored as a copy, later ones are added in place.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.float64(seed)
-    for record in reversed(tape._records):
-        record()
+    for out, pairs in reversed(tape._records):
+        g = out.grad
+        if g is None:
+            continue
+        for parent, grad_fn in pairs:
+            if parent.requires_grad:
+                gp = grad_fn(g)
+                if parent.grad is None:
+                    parent.grad = np.array(gp)  # copy: gp may alias a consumer's buffer
+                else:
+                    parent.grad += gp
 
 
 def _broadcast_kind(a_shape, b_shape):
@@ -125,102 +151,41 @@ def _reduce_to(g, kind):
 
 def add(a, b):
     kind = _broadcast_kind(a.shape, b.shape)
-    out, tape = _result(a.data + b.data, a, b)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, g)
-            if b.requires_grad:
-                _accumulate(b, _reduce_to(g, kind))
-        tape._records.append(bw)
-    return out
+    return _op(a.data + b.data, (a, lambda g: g), (b, lambda g: _reduce_to(g, kind)))
 
 
 def sub(a, b):
     kind = _broadcast_kind(a.shape, b.shape)
-    out, tape = _result(a.data - b.data, a, b)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, g)
-            if b.requires_grad:
-                _accumulate(b, -_reduce_to(g, kind))
-        tape._records.append(bw)
-    return out
+    return _op(a.data - b.data, (a, lambda g: g), (b, lambda g: -_reduce_to(g, kind)))
 
 
 def mul(a, b):
     kind = _broadcast_kind(a.shape, b.shape)
-    out, tape = _result(a.data * b.data, a, b)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, g * b.data)
-            if b.requires_grad:
-                _accumulate(b, _reduce_to(g * a.data, kind))
-        tape._records.append(bw)
-    return out
+    return _op(a.data * b.data, (a, lambda g: g * b.data),
+               (b, lambda g: _reduce_to(g * a.data, kind)))
 
 
 def smul(a, c):
     """Multiply by a python scalar."""
     c = float(c)
-    out, tape = _result(a.data * c, a)
-    if tape is not None:
-        def bw():
-            if out.grad is not None:
-                _accumulate(a, out.grad * c)
-        tape._records.append(bw)
-    return out
+    return _op(a.data * c, (a, lambda g: g * c))
 
 
 def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out, tape = _result(a.data @ b.data, a, b)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, g @ b.data.T)
-            if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
-        tape._records.append(bw)
-    return out
+    return _op(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def transpose(a):
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out, tape = _result(a.data.T.copy(), a)
-    if tape is not None:
-        def bw():
-            if out.grad is not None:
-                _accumulate(a, out.grad.T)
-        tape._records.append(bw)
-    return out
+    return _op(a.data.T.copy(), (a, lambda g: g.T))
 
 
 def relu(a):
     mask = a.data > 0
-    out, tape = _result(np.where(mask, a.data, 0.0), a)
-    if tape is not None:
-        def bw():
-            if out.grad is not None:
-                _accumulate(a, out.grad * mask)
-        tape._records.append(bw)
-    return out
+    return _op(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
 
 
 def softmax(a, axis):
@@ -229,15 +194,7 @@ def softmax(a, axis):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
     s = ex / ex.sum(axis=axis, keepdims=True)
-    out, tape = _result(s, a)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, s * (g - (g * s).sum(axis=axis, keepdims=True)))
-        tape._records.append(bw)
-    return out
+    return _op(s, (a, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
 
 
 def layer_norm(a, gamma=None, beta=None, eps=1e-9):
@@ -264,24 +221,19 @@ def layer_norm(a, gamma=None, beta=None, eps=1e-9):
         y = y * gamma.data
     if beta is not None:
         y = y + beta.data
-    parents = [p for p in (a, gamma, beta) if p is not None]
-    out, tape = _result(y, *parents)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            gh = g * gamma.data if gamma is not None else g
-            if a.requires_grad:
-                m1 = gh.mean(axis=1, keepdims=True)
-                m2 = (gh * xhat).mean(axis=1, keepdims=True)
-                _accumulate(a, inv * (gh - m1 - xhat * m2))
-            if gamma is not None and gamma.requires_grad:
-                _accumulate(gamma, (g * xhat).sum(axis=0))
-            if beta is not None and beta.requires_grad:
-                _accumulate(beta, g.sum(axis=0))
-        tape._records.append(bw)
-    return out
+
+    def grad_a(g):
+        gh = g * gamma.data if gamma is not None else g
+        m1 = gh.mean(axis=1, keepdims=True)
+        m2 = (gh * xhat).mean(axis=1, keepdims=True)
+        return inv * (gh - m1 - xhat * m2)
+
+    pairs = [(a, grad_a)]
+    if gamma is not None:
+        pairs.append((gamma, lambda g: (g * xhat).sum(axis=0)))
+    if beta is not None:
+        pairs.append((beta, lambda g: g.sum(axis=0)))
+    return _op(y, *pairs)
 
 
 def conv1d(a, kernel, bias=None):
@@ -309,24 +261,24 @@ def conv1d(a, kernel, bias=None):
     y = unfolded @ w2
     if bias is not None:
         y = y + bias.data
-    parents = [p for p in (a, kernel, bias) if p is not None]
-    out, tape = _result(y, *parents)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if kernel.requires_grad:
-                _accumulate(kernel, (unfolded.T @ g).reshape(k, d_in, d_out))
-            if a.requires_grad:
-                gu = (g @ w2.T).reshape(t, k, d_in)
-                gp = np.zeros_like(padded)
-                for j in range(k):
-                    gp[j:j + t] += gu[:, j, :]
-                _accumulate(a, gp[pad:pad + t])
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=0))
-        tape._records.append(bw)
+
+    def grad_a(g):
+        gu = (g @ w2.T).reshape(t, k, d_in)
+        gp = np.zeros_like(padded)
+        for j in range(k):
+            gp[j:j + t] += gu[:, j, :]
+        return gp[pad:pad + t]
+
+    pairs = [(kernel, lambda g: (unfolded.T @ g).reshape(k, d_in, d_out)), (a, grad_a)]
+    if bias is not None:
+        pairs.append((bias, lambda g: g.sum(axis=0)))
+    return _op(y, *pairs)
+
+
+def _scatter_rows(g, rows, like):
+    """Zeros shaped like `like`, with the rows of `g` added at `rows`."""
+    out = np.zeros_like(like)
+    np.add.at(out, rows, g)
     return out
 
 
@@ -340,17 +292,7 @@ def embedding(table, ids):
             f"embedding ids out of range [0, {table.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}"
         )
-    out, tape = _result(table.data[ids], table)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            _accumulate(table, gt)
-        tape._records.append(bw)
-    return out
+    return _op(table.data[ids], (table, lambda g: _scatter_rows(g, ids, table.data)))
 
 
 def gather_rows(a, indices):
@@ -358,33 +300,19 @@ def gather_rows(a, indices):
     indices = np.asarray(indices)
     if a.ndim != 2:
         raise ShapeError(f"gather_rows expects a matrix, got {a.shape}")
-    out, tape = _result(a.data[indices], a)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, indices, g)
-            _accumulate(a, ga)
-        tape._records.append(bw)
-    return out
+    return _op(a.data[indices], (a, lambda g: _scatter_rows(g, indices, a.data)))
 
 
 def slice_cols(a, lo, hi):
     if a.ndim != 2 or not (0 <= lo < hi <= a.shape[1]):
         raise ShapeError(f"slice_cols [{lo}:{hi}] invalid for shape {a.shape}")
-    out, tape = _result(a.data[:, lo:hi].copy(), a)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            ga = np.zeros_like(a.data)
-            ga[:, lo:hi] = g
-            _accumulate(a, ga)
-        tape._records.append(bw)
-    return out
+
+    def grad_a(g):
+        ga = np.zeros_like(a.data)
+        ga[:, lo:hi] = g
+        return ga
+
+    return _op(a.data[:, lo:hi].copy(), (a, grad_a))
 
 
 def concat_cols(parts):
@@ -393,40 +321,19 @@ def concat_cols(parts):
     rows = {p.shape[0] for p in parts}
     if any(p.ndim != 2 for p in parts) or len(rows) != 1:
         raise ShapeError(f"concat_cols shape mismatch: {[p.shape for p in parts]}")
-    widths = [p.shape[1] for p in parts]
-    out, tape = _result(np.concatenate([p.data for p in parts], axis=1), *parts)
-    if tape is not None:
-        offsets = np.cumsum([0] + widths)
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    _accumulate(p, g[:, lo:hi])
-        tape._records.append(bw)
-    return out
+    offsets = list(accumulate((p.shape[1] for p in parts), initial=0))
+    return _op(np.concatenate([p.data for p in parts], axis=1),
+               *[(p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                 for p, lo, hi in zip(parts, offsets, offsets[1:])])
 
 
 def sum_all(a):
-    out, tape = _result(a.data.sum(), a)
-    if tape is not None:
-        def bw():
-            if out.grad is not None:
-                _accumulate(a, np.full_like(a.data, float(out.grad)))
-        tape._records.append(bw)
-    return out
+    return _op(a.data.sum(), (a, lambda g: np.full_like(a.data, float(g))))
 
 
 def mean_all(a):
     n = a.size
-    out, tape = _result(a.data.sum() / n, a)
-    if tape is not None:
-        def bw():
-            if out.grad is not None:
-                _accumulate(a, np.full_like(a.data, float(out.grad) / n))
-        tape._records.append(bw)
-    return out
+    return _op(a.data.sum() / n, (a, lambda g: np.full_like(a.data, float(g) / n)))
 
 
 def _masked_selection(pred, target, mask):
@@ -444,47 +351,28 @@ def _masked_selection(pred, target, mask):
     return sel, diff, diff.size
 
 
+def _masked_loss(value, pred, target, sel, core):
+    """A masked loss whose gradient wrt `pred` is `core(g)` on the selected
+    rows (zero on masked ones) and wrt `target` its negation."""
+    def grad_pred(g):
+        if sel is None:
+            return core(g)
+        full = np.zeros_like(pred.data)
+        full[sel] = core(g)
+        return full
+
+    return _op(value, (pred, grad_pred), (target, lambda g: -grad_pred(g)))
+
+
 def masked_mae(pred, target, mask=None):
     """Mean absolute difference over unmasked rows. Mask is a bool array over axis 0."""
     sel, diff, n = _masked_selection(pred, target, mask)
-    out, tape = _result(np.abs(diff).sum() / n, pred, target)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            core = np.sign(diff) * (float(g) / n)
-            if sel is not None:
-                full = np.zeros_like(pred.data)
-                full[sel] = core
-            else:
-                full = core
-            if pred.requires_grad:
-                _accumulate(pred, full)
-            if target.requires_grad:
-                _accumulate(target, -full)
-        tape._records.append(bw)
-    return out
+    return _masked_loss(np.abs(diff).sum() / n, pred, target, sel,
+                        lambda g: np.sign(diff) * (float(g) / n))
 
 
 def masked_mse(pred, target, mask=None):
     """Mean squared difference over unmasked rows. Mask is a bool array over axis 0."""
     sel, diff, n = _masked_selection(pred, target, mask)
-    out, tape = _result((diff * diff).sum() / n, pred, target)
-    if tape is not None:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            core = diff * (2.0 * float(g) / n)
-            if sel is not None:
-                full = np.zeros_like(pred.data)
-                full[sel] = core
-            else:
-                full = core
-            if pred.requires_grad:
-                _accumulate(pred, full)
-            if target.requires_grad:
-                _accumulate(target, -full)
-        tape._records.append(bw)
-    return out
+    return _masked_loss((diff * diff).sum() / n, pred, target, sel,
+                        lambda g: diff * (2.0 * float(g) / n))

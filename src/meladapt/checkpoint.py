@@ -30,21 +30,27 @@ class Checkpoint:
         )
 
     def to_model(self) -> TtsModel:
-        shapes = param_shapes(self.config)
-        if set(shapes) != set(self.params):
-            extra = set(self.params) - set(shapes)
-            missing = set(shapes) - set(self.params)
-            raise errors.unknown_names(
-                f"checkpoint parameter names do not match the registry "
-                f"(extra: {sorted(extra)[:4]}, missing: {sorted(missing)[:4]})"
-            )
-        for name, arr in self.params.items():
-            if shapes[name] != arr.shape:
-                raise errors.CheckpointFormatError(
-                    f"parameter '{name}' has shape {arr.shape}, registry expects "
-                    f"{shapes[name]}"
-                )
+        _check_registry(self.config, self.params, "checkpoint")
         return TtsModel.from_arrays(self.config, self.params)
+
+
+def _check_registry(config, params, source):
+    """Raise CheckpointFormatError unless `params` (name -> ndarray) holds
+    exactly the registry's names of `config`, each at its registry shape."""
+    shapes = param_shapes(config)
+    if shapes.keys() != params.keys():
+        extra = set(params) - set(shapes)
+        missing = set(shapes) - set(params)
+        raise errors.unknown_names(
+            f"{source}: parameter names do not match the registry "
+            f"(extra: {sorted(extra)[:4]}, missing: {sorted(missing)[:4]})"
+        )
+    for name, arr in params.items():
+        if shapes[name] != arr.shape:
+            raise errors.CheckpointFormatError(
+                f"{source}: parameter '{name}' has shape {arr.shape}, registry "
+                f"expects {shapes[name]}"
+            )
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -69,13 +75,7 @@ def load_checkpoint(path) -> Checkpoint:
         if not name.startswith("param."):
             raise errors.unknown_names(f"{path}: unexpected array '{name}'")
         params[name[len("param."):]] = arr
-    registry = set(param_shapes(config))
-    extra, missing = set(params) - registry, registry - set(params)
-    if extra or missing:
-        raise errors.unknown_names(
-            f"{path}: parameter names do not match the registry "
-            f"(extra: {sorted(extra)[:4]}, missing: {sorted(missing)[:4]})"
-        )
+    _check_registry(config, params, path)
     return Checkpoint(config=config, params=params, provenance=provenance)
 
 

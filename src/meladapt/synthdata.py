@@ -242,41 +242,52 @@ def save_corpus(corpus_or_records, path, spec=None):
     binio.write_container(path, CORPUS_MAGIC, CORPUS_VERSION, meta, arrays)
 
 
+def _load_record(path, i, rm, arrays, mel_dim):
+    """Record `i` of a corpus container, from its meta entry and arrays."""
+    tag = f"u{i:06d}"
+    try:
+        kind = rm["kind"]
+        ids = rm["speaker_id"], rm["utterance_id"]
+        if not all(type(v) is int for v in ids):
+            raise CheckpointFormatError(f"{path}: record {i} ids {ids} are not integers")
+        mel = arrays[f"{tag}.mel"]
+        if mel.ndim != 2 or mel.shape[1] != mel_dim:
+            raise CheckpointFormatError(
+                f"{path}: record {i} mel shape {mel.shape}, spec mel_dim {mel_dim}")
+        if kind == "full":
+            return Utterance(*ids, phonemes=arrays[f"{tag}.phonemes"],
+                             durations=arrays[f"{tag}.durations"],
+                             pitch=arrays[f"{tag}.pitch"], mel=mel,
+                             transcript_present=rm.get("transcript_present", True))
+        if kind == "mel_only":
+            return MelOnlyUtterance(*ids, mel)
+    except KeyError as exc:
+        raise CheckpointFormatError(f"{path}: record {i} missing {exc}") from exc
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointFormatError(f"{path}: malformed record {i}: {exc}") from exc
+    raise CheckpointFormatError(f"{path}: unknown record kind {kind!r}")
+
+
 def load_corpus(path, expect_mel_dim=None):
     """Returns a Corpus (full records) or a list of MelOnlyUtterance."""
     meta, arrays = binio.read_container(path, CORPUS_MAGIC, CORPUS_VERSION)
     try:
         spec = OracleSpec(**meta["spec"])
         record_meta = meta["records"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(record_meta, list):
+            raise TypeError("records is not a list")
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointFormatError(f"{path}: malformed corpus meta: {exc}") from exc
     if expect_mel_dim is not None and spec.mel_dim != expect_mel_dim:
         raise CheckpointFormatError(
             f"{path}: corpus mel_dim {spec.mel_dim}, configuration wants {expect_mel_dim}"
         )
-    records = []
-    kinds = set()
-    for i, rm in enumerate(record_meta):
-        tag = f"u{i:06d}"
-        kinds.add(rm["kind"])
-        try:
-            if rm["kind"] == "full":
-                records.append(Utterance(
-                    speaker_id=rm["speaker_id"], utterance_id=rm["utterance_id"],
-                    phonemes=arrays[f"{tag}.phonemes"],
-                    durations=arrays[f"{tag}.durations"],
-                    pitch=arrays[f"{tag}.pitch"], mel=arrays[f"{tag}.mel"],
-                    transcript_present=rm.get("transcript_present", True)))
-            elif rm["kind"] == "mel_only":
-                records.append(MelOnlyUtterance(
-                    rm["speaker_id"], rm["utterance_id"], arrays[f"{tag}.mel"]))
-            else:
-                raise CheckpointFormatError(f"{path}: unknown record kind {rm['kind']!r}")
-        except KeyError as exc:
-            raise CheckpointFormatError(f"{path}: record {i} missing array {exc}") from exc
-    if kinds == {"mel_only"}:
+    records = [_load_record(path, i, rm, arrays, spec.mel_dim)
+               for i, rm in enumerate(record_meta)]
+    mel_only = [isinstance(r, MelOnlyUtterance) for r in records]
+    if records and all(mel_only):
         return records
-    if "mel_only" in kinds:
+    if any(mel_only):
         raise CheckpointFormatError(f"{path}: mixed full and mel-only records")
     return Corpus(spec, records)
 

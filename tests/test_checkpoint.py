@@ -146,6 +146,14 @@ class TestSerialization:
         with pytest.raises(CheckpointFormatError):
             cp.load_checkpoint(path)
 
+    def test_load_rejects_reshaped_param(self, tiny, tmp_path):
+        ckpt = snap(tiny)
+        ckpt.params["mel_out.b"] = np.zeros((1, TINY.mel_dim))
+        path = tmp_path / "r.ckpt"
+        cp.save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointFormatError, match="registry expects"):
+            cp.load_checkpoint(path)
+
     def test_unknown_parameter_name_code(self, tiny, tmp_path):
         ckpt = snap(tiny)
         ckpt.params["mystery.w"] = np.zeros((2, 2))

@@ -200,6 +200,34 @@ class TestExitCodes:
         assert code == 5
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("breakage", [
+        "record_without_kind", "non_object_record", "spec_out_of_range",
+        "records_not_a_list", "durations_off_mel_frames", "mel_width_off_spec",
+        "string_speaker_id"])
+    def test_corrupt_corpus_is_exit_5(self, workdir, tmp_path, breakage, capsys):
+        meta, arrays = binio.read_container(workdir / "data" / "adapt_3_eval.corpus",
+                                            sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
+        if breakage == "record_without_kind":
+            del meta["records"][0]["kind"]
+        elif breakage == "non_object_record":
+            meta["records"][0] = 7
+        elif breakage == "spec_out_of_range":
+            meta["spec"]["mel_dim"] = -1
+        elif breakage == "records_not_a_list":
+            meta["records"] = {"0": meta["records"][0]}
+        elif breakage == "durations_off_mel_frames":
+            arrays["u000000.durations"][0] += 1
+        elif breakage == "mel_width_off_spec":
+            arrays["u000000.mel"] = arrays["u000000.mel"][:, :-1]
+        else:
+            meta["records"][0]["speaker_id"] = "3"
+        bad = tmp_path / "bad.corpus"
+        binio.write_container(bad, sd.CORPUS_MAGIC, sd.CORPUS_VERSION, meta, arrays)
+        code = cli.main(["strip-transcripts", "--corpus", str(bad), "--speaker", "3",
+                         "--out", str(tmp_path / "out.corpus")])
+        assert code == 5
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_subcommand_raises_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["transmogrify"])

@@ -18,6 +18,14 @@ pairs to `_op`, and `_op` and `backward` together are the tape protocol:
   op lists them, and adds the result into that parent's `grad`. A frozen
   parent's gradient is never computed and its `grad` stays None.
 
+One op may list the same parent in several pairs; each adds in its turn.
+The gradient functions of one record may share work through `_lazy`, which
+computes an intermediate gradient on the first call that needs it. The
+fused ops (`attention`, `conditional_layer_norm`) use both to leave one
+record where the composed graph of primitive ops left many, with the same
+bits: their pairs follow the order in which that graph's replay reached
+each parent, and work only a frozen parent needs is never done.
+
 Broadcasting is deliberately narrow: elementwise binary ops accept equal
 shapes, or a second operand of shape (d,) or (1, d) broadcast over the rows
 of a (T, d) first operand. Anything else raises `ShapeError`.
@@ -25,6 +33,7 @@ of a (T, d) first operand. Anything else raises `ShapeError`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -188,13 +197,38 @@ def relu(a):
     return _op(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
 
 
+def _softmax(a, axis):
+    ex = np.exp(a - a.max(axis=axis, keepdims=True))
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(s, g, axis):
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis):
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    s = ex / ex.sum(axis=axis, keepdims=True)
-    return _op(s, (a, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
+    s = _softmax(a.data, axis)
+    return _op(s, (a, lambda g: _softmax_grad(s, g, axis)))
+
+
+def _normalize(a, eps):
+    """Rows of a (T, d) array at zero mean and unit variance: (xhat, 1/std)."""
+    if eps <= 0:
+        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
+    if a.ndim != 2:
+        raise ShapeError(f"layer_norm expects (T, d), got {a.shape}")
+    centered = a - a.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    return centered * inv, inv
+
+
+def _normalize_grad(g, xhat, inv):
+    """Gradient through `_normalize` of the gradient `g` wrt xhat."""
+    m1 = g.mean(axis=1, keepdims=True)
+    m2 = (g * xhat).mean(axis=1, keepdims=True)
+    return inv * (g - m1 - xhat * m2)
 
 
 def layer_norm(a, gamma=None, beta=None, eps=1e-9):
@@ -202,20 +236,12 @@ def layer_norm(a, gamma=None, beta=None, eps=1e-9):
 
     A zero-variance row maps to zeros through the eps guard.
     """
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
-    if a.ndim != 2:
-        raise ShapeError(f"layer_norm expects (T, d), got {a.shape}")
+    xhat, inv = _normalize(a.data, eps)
     d = a.shape[1]
     if gamma is not None and gamma.shape != (d,):
         raise ShapeError(f"gamma shape {gamma.shape} does not match feature dim {d}")
     if beta is not None and beta.shape != (d,):
         raise ShapeError(f"beta shape {beta.shape} does not match feature dim {d}")
-    mu = a.data.mean(axis=1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
     y = xhat
     if gamma is not None:
         y = y * gamma.data
@@ -223,10 +249,7 @@ def layer_norm(a, gamma=None, beta=None, eps=1e-9):
         y = y + beta.data
 
     def grad_a(g):
-        gh = g * gamma.data if gamma is not None else g
-        m1 = gh.mean(axis=1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=1, keepdims=True)
-        return inv * (gh - m1 - xhat * m2)
+        return _normalize_grad(g * gamma.data if gamma is not None else g, xhat, inv)
 
     pairs = [(a, grad_a)]
     if gamma is not None:
@@ -234,6 +257,14 @@ def layer_norm(a, gamma=None, beta=None, eps=1e-9):
     if beta is not None:
         pairs.append((beta, lambda g: g.sum(axis=0)))
     return _op(y, *pairs)
+
+
+@lru_cache(maxsize=256)
+def _window_rows(t, k):
+    """(t, k) row indices of the k-row windows of a (t + k - 1)-row array."""
+    rows = np.arange(t)[:, None] + np.arange(k)
+    rows.setflags(write=False)  # shared cache entry
+    return rows
 
 
 def conv1d(a, kernel, bias=None):
@@ -255,8 +286,7 @@ def conv1d(a, kernel, bias=None):
     padded = np.zeros((t + 2 * pad, d_in))
     padded[pad:pad + t] = a.data
     # windows laid out (T, k, d_in) then flattened to match kernel.reshape(k*d_in, d_out)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
-    unfolded = np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(t, k * d_in)
+    unfolded = padded[_window_rows(t, k)].reshape(t, k * d_in)
     w2 = kernel.data.reshape(k * d_in, d_out)
     y = unfolded @ w2
     if bias is not None:
@@ -325,6 +355,143 @@ def concat_cols(parts):
     return _op(np.concatenate([p.data for p in parts], axis=1),
                *[(p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
                  for p, lo, hi in zip(parts, offsets, offsets[1:])])
+
+
+# -- fused ops: one record for what a composed graph of the ops above records
+# step by step. Each runs the composed graph's numpy expressions, so values
+# and gradients are the same bits, and lists its pairs in the order the
+# composed graph's replay reached each parent.
+
+
+def _lazy(fn):
+    """`fn(g)`, computed on the first call for an output gradient `g` and
+    reused by the other gradient functions of the same record."""
+    memo = [None, None]
+
+    def get(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, fn(g)
+        return memo[1]
+
+    return get
+
+
+def _linear_pairs(x, w, b, grad_out):
+    """Pairs of `x @ w + b` given its output's lazy gradient, in the replay
+    order of the composed `add(matmul(x, w), b)`: b, then x, then w."""
+    return ((b, lambda g: grad_out(g).sum(axis=0)),
+            (x, lambda g: grad_out(g) @ w.data.T),
+            (w, lambda g: x.data.T @ grad_out(g)))
+
+
+def _join_heads(parts, shape):
+    """A (T, d) gradient from its heads' column blocks, built the way
+    `slice_cols` backward and accumulation build it: a single head is copied
+    in; several are each added into zeros, which turns a -0.0 into +0.0
+    exactly as the accumulation there does."""
+    out = np.zeros(shape)
+    if len(parts) == 1:
+        out[:] = parts[0]
+        return out
+    dh = shape[1] // len(parts)
+    for h, part in enumerate(parts):
+        out[:, h * dh:(h + 1) * dh] += part
+    return out
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """Multi-head scaled dot-product self-attention over the rows of (T, d) x.
+
+    q, k, v = x @ w + b; head h is softmax(q_h k_h^T / sqrt(d / n_heads)) v_h;
+    the output is the concatenated heads @ wo + bo. The same bits as that
+    graph of `matmul`, `add`, `slice_cols`, `transpose`, `smul`, `softmax`
+    and `concat_cols`, in one record. x gets its three gradients in the
+    composed replay order: through v, then k, then q.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"attention expects (T, d), got {x.shape}")
+    t, d = x.shape
+    if n_heads < 1 or d % n_heads:
+        raise ConfigError(f"hidden size {d} does not split into {n_heads} heads")
+    for w in (wq, wk, wv, wo):
+        if w.shape != (d, d):
+            raise ShapeError(f"attention weight shape {w.shape} for hidden size {d}")
+    for b in (bq, bk, bv, bo):
+        if b.shape != (d,):
+            raise ShapeError(f"attention bias shape {b.shape} for hidden size {d}")
+    dh = d // n_heads
+    c = dh ** -0.5
+    q, k, v = (x.data @ w.data + b.data for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    # contiguous copies, as the composed graph's ops made them: matmul can
+    # round differently on a strided view
+    saved, heads = [], []  # per head: (q_h, k_h^T, v_h, softmax)
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qs, kt, vs = q[:, cols].copy(), k[:, cols].T.copy(), v[:, cols].copy()
+        s = _softmax((qs @ kt) * c, 1)
+        saved.append((qs, kt, vs, s))
+        heads.append(s @ vs)
+    cat = heads[0] if n_heads == 1 else np.concatenate(heads, axis=1)
+
+    @_lazy
+    def grad_heads(g):
+        gc = g @ wo.data.T
+        if n_heads == 1:
+            return [gc]
+        return [np.array(gc[:, h * dh:(h + 1) * dh]) for h in range(n_heads)]
+
+    @_lazy
+    def grad_scores(g):  # per head, wrt q_h k_h^T
+        return [_softmax_grad(s, gh @ vs.T, 1) * c
+                for (_, _, vs, s), gh in zip(saved, grad_heads(g))]
+
+    @_lazy
+    def grad_v(g):
+        return _join_heads([s.T @ gh for (_, _, _, s), gh in zip(saved, grad_heads(g))],
+                           (t, d))
+
+    @_lazy
+    def grad_k(g):
+        return _join_heads([(qs.T @ gm).T for (qs, _, _, _), gm in zip(saved, grad_scores(g))],
+                           (t, d))
+
+    @_lazy
+    def grad_q(g):
+        return _join_heads([gm @ kt.T for (_, kt, _, _), gm in zip(saved, grad_scores(g))],
+                           (t, d))
+
+    return _op(cat @ wo.data + bo.data,
+               (bo, lambda g: g.sum(axis=0)), (wo, lambda g: cat.T @ g),
+               *_linear_pairs(x, wv, bv, grad_v), *_linear_pairs(x, wk, bk, grad_k),
+               *_linear_pairs(x, wq, bq, grad_q))
+
+
+def conditional_layer_norm(x, e, w_scale, b_scale, w_bias, b_bias, eps=1e-9):
+    """layer_norm(x) * (e @ w_scale + b_scale) + (e @ w_bias + b_bias).
+
+    x is (T, d) and e one (1, n) conditioning row. The same bits as that
+    graph of `matmul`, `add`, `layer_norm` and `mul`, in one record. e gets
+    its two gradients in the composed replay order: through the bias map,
+    then through the scale map.
+    """
+    xhat, inv = _normalize(x.data, eps)
+    d = x.shape[1]
+    if e.ndim != 2 or e.shape[0] != 1:
+        raise ShapeError(f"conditioning input must be one (1, n) row, got {e.shape}")
+    for w in (w_scale, w_bias):
+        if w.shape != (e.shape[1], d):
+            raise ShapeError(f"conditioning map shape {w.shape} != {(e.shape[1], d)}")
+    for b in (b_scale, b_bias):
+        if b.shape != (d,):
+            raise ShapeError(f"conditioning offset shape {b.shape} != ({d},)")
+    scale = e.data @ w_scale.data + b_scale.data
+    bias = e.data @ w_bias.data + b_bias.data
+    grad_bias = _lazy(lambda g: g.sum(axis=0, keepdims=True))
+    grad_scale = _lazy(lambda g: (g * xhat).sum(axis=0, keepdims=True))
+    return _op(xhat * scale + bias,
+               (x, lambda g: _normalize_grad(g * scale, xhat, inv)),
+               *_linear_pairs(e, w_bias, b_bias, grad_bias),
+               *_linear_pairs(e, w_scale, b_scale, grad_scale))
 
 
 def sum_all(a):

@@ -1,4 +1,5 @@
-"""Versioned binary container shared by corpus and checkpoint files.
+"""Versioned binary container shared by corpus and checkpoint files, and
+the atomic write every output file of meladapt goes through.
 
 Layout: 8-byte magic, u32 little-endian format version, u64 little-endian
 header length, canonical JSON header (sorted keys, compact separators),
@@ -9,7 +10,9 @@ save -> load -> save byte-identical.
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -20,6 +23,36 @@ _DTYPES = {"f8": "<f8", "i8": "<i8"}
 
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+@contextmanager
+def atomic_write(path, mode="wb", **open_kwargs):
+    """A file, opened with `mode`, whose contents replace `path` in one
+    `os.replace` when the block exits cleanly.
+
+    The temporary file sits beside `path`, so the rename stays on one file
+    system. If the block raises, the temporary file is removed and `path`
+    keeps its prior contents. Nothing is fsynced: this guards against a
+    writer that fails or is killed (which may leave the temporary file),
+    not against a power loss.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path, text):
+    """Replace `path` with `text` atomically (see `atomic_write`)."""
+    with atomic_write(path, "w") as fh:
+        fh.write(text)
 
 
 def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict):
@@ -38,7 +71,7 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict):
             )
         entries.append({"name": name, "dtype": code, "shape": list(arr.shape)})
     header = _canonical_json({"meta": meta, "arrays": entries})
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", version))
         fh.write(struct.pack("<Q", len(header)))

@@ -64,7 +64,7 @@ def _echo_config(cfg, out_path):
         return write_effective_config(cfg, out_path)
     target = out_path.with_name(out_path.name + ".cfg")
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(config_text(cfg))
+    binio.write_text(target, config_text(cfg))
     return target
 
 
@@ -117,8 +117,8 @@ def cmd_gen_corpus(args):
             "pool": pool_name, "n_pool": len(pool),
             "eval": eval_name, "eval_hash": sd.corpus_hash(evals),
         }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    binio.write_text(out / "manifest.json",
+                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     _echo_config(cfg, out)
     _say(f"wrote corpus for {len(source.speakers())} source and "
          f"{len(manifest['adaptation'])} adaptation speakers to {out}")
@@ -232,7 +232,7 @@ def cmd_eval(args):
                                 names[1], values[names[1]][metric], metric=metric)
             lines.append(rep.summary())
         summary_path = Path(str(args.report) + ".summary.txt")
-        summary_path.write_text("\n".join(lines) + "\n")
+        binio.write_text(summary_path, "\n".join(lines) + "\n")
         for line in lines:
             _say(line)
 

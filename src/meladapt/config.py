@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .binio import write_text
 from .errors import ConfigError
 from .model import ModelConfig
 from .synthdata import OracleSpec
@@ -210,5 +211,5 @@ def write_effective_config(cfg: RunConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "effective.cfg"
-    target.write_text(config_text(cfg))
+    write_text(target, config_text(cfg))
     return target

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import synthdata as sd
+from .binio import atomic_write
 from .errors import ConfigError, ShapeError
 
 _N_PROBES = 4
@@ -151,7 +152,7 @@ def paired_report(arm_a, a_values, arm_b, b_values, metric="mel_mae") -> PairedR
 
 def write_report_csv(rows, path):
     """Rows of (utterance_id, arm, metric, value) in the shared report schema."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["utterance_id", "arm", "metric", "value"])
         for uid, arm, metric, value in rows:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from . import synthdata as sd
+from .binio import write_text
 from .checkpoint import save_checkpoint
 from .errors import ConfigError
 from .evalmetrics import mel_distance, paired_report, speaker_proximity, write_report_csv
@@ -236,10 +237,10 @@ def _write_outputs(bench, result, out_dir):
         if metrics:
             pl.write_metrics(metrics, out_dir / f"{stem}_metrics.csv")
     write_report_csv(result.report_rows, out_dir / "report.csv")
-    (out_dir / "summary.txt").write_text(result.summary_text())
+    write_text(out_dir / "summary.txt", result.summary_text())
     if result.sweep_means is not None:
         lines = ["n," + ",".join(f"mean_{m}" for m in EVAL_METRICS)]
         for n in SWEEP_SIZES:
             vals = ",".join(repr(result.sweep_means[m][n]) for m in EVAL_METRICS)
             lines.append(f"{n},{vals}")
-        (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+        write_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")

@@ -260,15 +260,9 @@ class TtsModel:
 def conditional_layer_norm(x, speaker, model, prefix):
     """layer_norm(x) * scale(e) + bias(e), scale/bias from two linear maps."""
     p = model.params
-    e = speaker.embedding
-    if e.shape[1] != p[f"{prefix}.w_scale"].shape[0]:
-        raise ShapeError(
-            f"speaker embedding dim {e.shape[1]} != conditioning map input "
-            f"{p[f'{prefix}.w_scale'].shape[0]}"
-        )
-    scale = ad.add(ad.matmul(e, p[f"{prefix}.w_scale"]), p[f"{prefix}.b_scale"])
-    bias = ad.add(ad.matmul(e, p[f"{prefix}.w_bias"]), p[f"{prefix}.b_bias"])
-    return ad.add(ad.mul(ad.layer_norm(x), scale), bias)
+    return ad.conditional_layer_norm(
+        x, speaker.embedding,
+        *(p[f"{prefix}.{part}"] for part in ("w_scale", "b_scale", "w_bias", "b_bias")))
 
 
 def _norm(x, model, prefix, site, speaker):
@@ -284,19 +278,9 @@ def _norm(x, model, prefix, site, speaker):
 
 def _attention(x, model, prefix):
     p = model.params
-    c = model.config
-    dh = c.hidden_dim // c.n_heads
-    q = ad.add(ad.matmul(x, p[f"{prefix}.attn.wq"]), p[f"{prefix}.attn.bq"])
-    k = ad.add(ad.matmul(x, p[f"{prefix}.attn.wk"]), p[f"{prefix}.attn.bk"])
-    v = ad.add(ad.matmul(x, p[f"{prefix}.attn.wv"]), p[f"{prefix}.attn.bv"])
-    heads = []
-    for h in range(c.n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qs, ks, vs = (ad.slice_cols(t, lo, hi) for t in (q, k, v))
-        scores = ad.smul(ad.matmul(qs, ad.transpose(ks)), dh ** -0.5)
-        heads.append(ad.matmul(ad.softmax(scores, axis=1), vs))
-    cat = heads[0] if len(heads) == 1 else ad.concat_cols(heads)
-    return ad.add(ad.matmul(cat, p[f"{prefix}.attn.wo"]), p[f"{prefix}.attn.bo"])
+    parts = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    return ad.attention(x, *(p[f"{prefix}.attn.{part}"] for part in parts),
+                        model.config.n_heads)
 
 
 def fft_block(x, model, prefix, speaker=None):

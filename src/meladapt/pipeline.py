@@ -11,6 +11,7 @@ from . import autodiff as ad
 from . import melencoder as me
 from . import model as mm
 from .autodiff import Tape, Tensor, backward
+from .binio import atomic_write
 from .checkpoint import Checkpoint, assert_freeze
 from .errors import ConfigError, NumericError
 from .model import GROUPS, TtsModel
@@ -383,7 +384,7 @@ def synthesize(ckpt, phonemes, speaker_id) -> np.ndarray:
 
 
 def write_metrics(rows, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "stage", "loss_name", "value"])
         for step, stage, loss_name, value in rows:

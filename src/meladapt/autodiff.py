@@ -213,6 +213,9 @@ def softmax(a, axis):
     return _op(s, (a, lambda g: _softmax_grad(s, g, axis)))
 
 
+LN_EPS = 1e-9
+
+
 def _normalize(a, eps):
     """Rows of a (T, d) array at zero mean and unit variance: (xhat, 1/std)."""
     if eps <= 0:
@@ -231,7 +234,7 @@ def _normalize_grad(g, xhat, inv):
     return inv * (g - m1 - xhat * m2)
 
 
-def layer_norm(a, gamma=None, beta=None, eps=1e-9):
+def layer_norm(a, gamma=None, beta=None, eps=LN_EPS):
     """Row-wise normalization of a (T, d) tensor, optional affine.
 
     A zero-variance row maps to zeros through the eps guard.
@@ -466,7 +469,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
                *_linear_pairs(x, wq, bq, grad_q))
 
 
-def conditional_layer_norm(x, e, w_scale, b_scale, w_bias, b_bias, eps=1e-9):
+def conditional_layer_norm(x, e, w_scale, b_scale, w_bias, b_bias):
     """layer_norm(x) * (e @ w_scale + b_scale) + (e @ w_bias + b_bias).
 
     x is (T, d) and e one (1, n) conditioning row. The same bits as that
@@ -474,7 +477,7 @@ def conditional_layer_norm(x, e, w_scale, b_scale, w_bias, b_bias, eps=1e-9):
     its two gradients in the composed replay order: through the bias map,
     then through the scale map.
     """
-    xhat, inv = _normalize(x.data, eps)
+    xhat, inv = _normalize(x.data, LN_EPS)
     d = x.shape[1]
     if e.ndim != 2 or e.shape[0] != 1:
         raise ShapeError(f"conditioning input must be one (1, n) row, got {e.shape}")

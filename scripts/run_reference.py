@@ -1,10 +1,13 @@
-"""Run the desk-scale reference pipeline and report every number the
-acceptance suite pins: corpus hash, stage losses, adaptation margins, variant
-directions, and the data-sweep curve.
+"""Run the desk-scale reference pipeline and print every number
+configs/reference_desk.json pins: the seed, the source corpus hash, the
+stage-loss tails, the paired blocks of criteria 4-6, the data-sweep curve of
+criterion 7 and the relative tolerance the acceptance suite compares at.
 
-The whole stack is bitwise deterministic, so these values are exact regression
-constants, not statistical estimates. `--pin` freezes them into
-configs/reference_desk.json (plus the tolerance the acceptance tests use).
+The numbers come from `meladapt.experiments.reference_record`, the same call
+the acceptance suite (tests/test_acceptance.py) checks against the pin. The
+whole stack is bitwise deterministic, so these values are exact regression
+constants, not statistical estimates. `--pin` writes them into
+configs/reference_desk.json.
 
 Usage: python3 scripts/run_reference.py [--pin] [--seed N]
 """
@@ -12,117 +15,30 @@ Usage: python3 scripts/run_reference.py [--pin] [--seed N]
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from meladapt import experiments as ex                      # noqa: E402
+from meladapt.binio import write_text                       # noqa: E402
 from meladapt.config import desk_config                     # noqa: E402
-from meladapt.evalmetrics import paired_report              # noqa: E402
-from meladapt.synthdata import corpus_hash                  # noqa: E402
-
-
-def mean(d):
-    return sum(d[k] for k in sorted(d)) / len(d)
-
-
-def tail_loss(metrics, name, k=20):
-    vals = [v for _, _, n, v in metrics if n == name]
-    return sum(vals[-k:]) / min(k, len(vals))
+from meladapt.experiments import Workbench, reference_record  # noqa: E402
 
 
 def main():
-    ap = argparse.ArgumentParser()
+    ap = argparse.ArgumentParser(
+        description="Print the desk reference record; --pin writes it.")
     ap.add_argument("--pin", action="store_true",
                     help="write configs/reference_desk.json")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cfg = desk_config()
-    bench = ex.Workbench(cfg, args.seed)
-    speakers = cfg.adapt_speaker_ids()
-    record = {"seed": args.seed,
-              "source_corpus_hash": corpus_hash(bench.source_corpus)}
-    t_all = time.time()
-
-    def timed(label, fn):
-        t0 = time.time()
-        out = fn()
-        print(f"[{time.time() - t_all:7.1f}s] {label} ({time.time() - t0:.1f}s)")
-        return out
-
-    timed("source (main)", bench.source)
-    record["source_final_mel_mae"] = tail_loss(
-        bench._metrics[("source", "main")], "mel")
-    timed("source (joint)", lambda: bench.source("joint_training"))
-    record["joint_final_mel_mae"] = tail_loss(
-        bench._metrics[("source", "joint_training")], "mel")
-    timed("align (main)", bench.aligned)
-    align_metrics = bench._metrics[("aligned", "main")]
-    record["align_first_alignment"] = tail_loss(align_metrics[:8], "alignment", k=2)
-    record["align_final_alignment"] = tail_loss(align_metrics, "alignment")
-    record["align_final_reconstruction"] = tail_loss(align_metrics, "reconstruction")
-    timed("align (no_l2)", lambda: bench.aligned("no_l2"))
-
-    arms = {}
-    arms["unadapted"] = {s: bench.aligned() for s in speakers}
-    for s in speakers:
-        timed(f"adapt main s{s}", lambda s=s: bench.adapted(s))
-        timed(f"adapt joint-base s{s}", lambda s=s: bench.adapted(s, base="joint"))
-        timed(f"adapt no-l2-base s{s}", lambda s=s: bench.adapted(s, base="no_l2"))
-        timed(f"adapt finetune s{s}", lambda s=s: bench.adapted(
-            s, variant="finetune_mel_encoder_and_decoder"))
-    arms["adapted"] = {s: bench.adapted(s) for s in speakers}
-    arms["joint"] = {s: bench.adapted(s, base="joint") for s in speakers}
-    arms["no_l2"] = {s: bench.adapted(s, base="no_l2") for s in speakers}
-    arms["finetune"] = {s: bench.adapted(
-        s, variant="finetune_mel_encoder_and_decoder") for s in speakers}
-
-    vals = {name: timed(f"eval {name}", lambda a=a: bench.evaluate_arm(a))
-            for name, a in arms.items()}
-
-    crit4 = {}
-    for metric in ex.EVAL_METRICS:
-        a, u = vals["adapted"][metric], vals["unadapted"][metric]
-        crit4[metric] = {
-            "adapted_mean": mean(a), "unadapted_mean": mean(u),
-            "margin": mean(u) - mean(a),
-            "fraction_adapted_wins": paired_report(
-                "adapted", a, "unadapted", u).fraction_a_beats_b,
-        }
-    record["criterion4_adaptation_gain"] = crit4
-
-    for crit, arm_b in (("criterion5a_no_l2", "no_l2"),
-                        ("criterion5b_finetune", "finetune"),
-                        ("criterion6_joint", "joint")):
-        block = {}
-        for metric in ex.EVAL_METRICS:
-            rep = paired_report("main", vals["adapted"][metric],
-                                arm_b, vals[arm_b][metric], metric=metric)
-            block[metric] = {
-                "main_mean": mean(vals["adapted"][metric]),
-                f"{arm_b}_mean": mean(vals[arm_b][metric]),
-                "mean_delta": rep.mean_delta,
-                "fraction_main_wins": rep.fraction_a_beats_b,
-            }
-        record[crit] = block
-
-    sweep = {m: {} for m in ex.EVAL_METRICS}
-    for n in ex.SWEEP_SIZES:
-        for s in speakers:
-            timed(f"adapt n={n} s{s}", lambda s=s, n=n: bench.adapted(s, n))
-        got = bench.evaluate_arm({s: bench.adapted(s, n) for s in speakers})
-        for m in ex.EVAL_METRICS:
-            sweep[m][str(n)] = mean(got[m])
-    record["criterion7_sweep"] = sweep
-    record["tolerance_rel"] = 1e-9
-
-    print(json.dumps(record, indent=2, sort_keys=True))
+    record = reference_record(Workbench(desk_config(), args.seed))
+    text = json.dumps(record, indent=2, sort_keys=True)
+    print(text)
     if args.pin:
         target = REPO / "configs" / "reference_desk.json"
-        target.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        write_text(target, text + "\n")
         print(f"pinned -> {target}")
 
 

@@ -6,7 +6,9 @@ the step where they differ (the no-alignment arm reuses the main source
 checkpoint, the decoder-finetune arm reuses source and aligning, and so on).
 `run_experiment` drives a named recipe and writes checkpoints, per-utterance
 reports, and summaries into an output directory; identical (config, recipe,
-seed) triples produce byte-identical files.
+seed) triples produce byte-identical files. `reference_record` runs every
+recipe on one `Workbench` and returns the numbers configs/reference_desk.json
+pins.
 """
 
 from dataclasses import dataclass, field, replace
@@ -174,6 +176,7 @@ class ExperimentResult:
     report_rows: list        # (utterance_id, arm, metric, value)
     summaries: list
     sweep_means: dict = None  # data-sweep only: {metric: {n: mean}}
+    reports: dict = None      # paired recipes only: {metric: PairedReport}
 
     def summary_text(self):
         return "\n".join(self.summaries) + "\n"
@@ -196,13 +199,12 @@ def _run_paired(bench, recipe) -> ExperimentResult:
     name_a, arm_a, name_b, arm_b = _arm_checkpoints(bench, recipe)
     vals_a = bench.evaluate_arm(arm_a)
     vals_b = bench.evaluate_arm(arm_b)
-    rows, summaries = [], []
-    for metric in EVAL_METRICS:
-        rep = paired_report(name_a, vals_a[metric], name_b, vals_b[metric],
-                            metric=metric)
-        rows.extend(rep.rows())
-        summaries.append(rep.summary())
-    return ExperimentResult(recipe=recipe, report_rows=rows, summaries=summaries)
+    reports = {m: paired_report(name_a, vals_a[m], name_b, vals_b[m], metric=m)
+               for m in EVAL_METRICS}
+    rows = [row for rep in reports.values() for row in rep.rows()]
+    summaries = [rep.summary() for rep in reports.values()]
+    return ExperimentResult(recipe=recipe, report_rows=rows, summaries=summaries,
+                            reports=reports)
 
 
 def _run_sweep(bench) -> ExperimentResult:
@@ -223,6 +225,61 @@ def _run_sweep(bench) -> ExperimentResult:
                 f"mean {m} {means[m][n]:.6f}" for m in EVAL_METRICS))
     return ExperimentResult(recipe="data-sweep", report_rows=rows,
                             summaries=summaries, sweep_means=means)
+
+
+# pinned block -> paired recipe it is read from
+_PINNED_BLOCKS = {
+    "criterion4_adaptation_gain": "main",
+    "criterion5a_no_l2": "no-l2",
+    "criterion5b_finetune": "finetune-all",
+    "criterion6_joint": "joint",
+}
+
+
+def _tail_mean(metrics, loss_name, k=20):
+    vals = [v for _, _, name, v in metrics if name == loss_name]
+    return sum(vals[-k:]) / min(k, len(vals))
+
+
+def _paired_block(rep):
+    """Arm means, the mean difference and arm A's win fraction. The main
+    recipe's block pins the gain of adapting, unadapted minus adapted mean,
+    as `margin`; every other block pins `mean_delta`, A minus B."""
+    mean_a = sum(rep.a_values) / len(rep.a_values)
+    mean_b = sum(rep.b_values) / len(rep.b_values)
+    block = {f"{rep.arm_a}_mean": mean_a, f"{rep.arm_b}_mean": mean_b,
+             f"fraction_{rep.arm_a}_wins": rep.fraction_a_beats_b}
+    if rep.arm_b == "unadapted":
+        block["margin"] = mean_b - mean_a
+    else:
+        block["mean_delta"] = rep.mean_delta
+    return block
+
+
+def reference_record(bench) -> dict:
+    """Every number configs/reference_desk.json pins, computed on `bench`:
+    the stage-loss tails, one block per paired recipe (criteria 4-6), the
+    data-sweep means keyed by str(n) (criterion 7), the seed, the source
+    corpus hash and the relative tolerance the acceptance suite compares at."""
+    record = {"seed": bench.seed,
+              "source_corpus_hash": sd.corpus_hash(bench.source_corpus),
+              "tolerance_rel": 1e-9}
+    for key, recipe in _PINNED_BLOCKS.items():
+        reports = _run_paired(bench, recipe).reports
+        record[key] = {m: _paired_block(reports[m]) for m in EVAL_METRICS}
+    means = _run_sweep(bench).sweep_means
+    record["criterion7_sweep"] = {
+        m: {str(n): v for n, v in means[m].items()} for m in EVAL_METRICS}
+    source = bench._metrics[("source", "main")]
+    joint = bench._metrics[("source", "joint_training")]
+    align = bench._metrics[("aligned", "main")]
+    record.update(
+        source_final_mel_mae=_tail_mean(source, "mel"),
+        joint_final_mel_mae=_tail_mean(joint, "mel"),
+        align_first_alignment=_tail_mean(align[:8], "alignment", k=2),
+        align_final_alignment=_tail_mean(align, "alignment"),
+        align_final_reconstruction=_tail_mean(align, "reconstruction"))
+    return record
 
 
 def _write_outputs(bench, result, out_dir):

@@ -37,23 +37,19 @@ def alignment_loss(mel_hidden, phoneme_hidden_expanded, mask=None):
     return ad.masked_mse(mel_hidden, target, mask)
 
 
-def reconstruction_inputs(model, mel_in, pitch=None, acoustic=None) -> Tensor:
+def reconstruction_inputs(model, mel_in) -> Tensor:
     """Decoder input built from mel alone: no phoneme or duration input exists.
 
-    `pitch` and `acoustic` default to values derived from `mel_in` itself
-    (frozen pitch predictor on the encoder latent; acoustic extractor on the
-    mel); pass precomputed tensors to override.
+    Pitch comes from the frozen pitch predictor on the encoder latent and the
+    acoustic conditions from the acoustic extractor on `mel_in` itself.
     """
     h = mel_encoder_forward(model, mel_in)
-    if pitch is None:
-        pitch = m.pitch_predictor(model, h)
-    x = m.pitch_pathway(model, h, pitch)
-    if acoustic is None:
-        acoustic = m.acoustic_extract(model, mel_in)
+    x = m.pitch_pathway(model, h, m.pitch_predictor(model, h))
+    acoustic = m.acoustic_extract(model, mel_in)
     utt_vec = ad.matmul(m._mean_rows_matrix(mel_in.shape[0]), acoustic)
     return m.acoustic_additions(model, x, acoustic, utt_vec)
 
 
-def reconstruction_forward(model, mel_in, speaker, pitch=None, acoustic=None) -> Tensor:
+def reconstruction_forward(model, mel_in, speaker) -> Tensor:
     """Reconstruct mel from mel: the decoder on `reconstruction_inputs`."""
-    return m.decode(model, reconstruction_inputs(model, mel_in, pitch, acoustic), speaker)
+    return m.decode(model, reconstruction_inputs(model, mel_in), speaker)

@@ -333,11 +333,10 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
         ), []
 
     model = aligned_ckpt.to_model()
-    trained = list(aligned_ckpt.provenance.get("trained_speakers", []))
-    if plan.adapt_speaker_row and target not in trained:
+    trained = set(aligned_ckpt.provenance.get("trained_speakers", []))
+    if plan.adapt_speaker_row and trained and target not in trained:
         table = model.params["speaker_table"].data
-        if trained:
-            table[target] = table[np.asarray(trained, dtype=np.int64)].mean(axis=0)
+        table[target] = _zero_shot_row(table, trained)
 
     seen_fields = set()
     audited = [_AuditedRecord(r, seen_fields) for r in records]
@@ -356,8 +355,14 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
     if banned:
         raise ConfigError(f"adaptation read transcript-adjacent fields: {sorted(banned)}")
     out.provenance["field_audit"] = sorted(seen_fields)
-    out.provenance["trained_speakers"] = sorted(set(trained) | {target})
+    out.provenance["trained_speakers"] = sorted(trained | {target})
     return out, metrics
+
+
+def _zero_shot_row(table, trained):
+    """The speaker row a checkpoint gives a speaker it never trained: the mean
+    of the trained speakers' rows, taken in sorted id order."""
+    return table[np.asarray(sorted(trained), dtype=np.int64)].mean(axis=0)
 
 
 def synthesize(ckpt, phonemes, speaker_id) -> np.ndarray:
@@ -371,8 +376,7 @@ def synthesize(ckpt, phonemes, speaker_id) -> np.ndarray:
             f"speaker id {speaker_id} outside table of {model.config.n_speakers} rows"
         )
     if trained and speaker_id not in trained:
-        rows = np.asarray(sorted(trained), dtype=np.int64)
-        mean_row = model.params["speaker_table"].data[rows].mean(axis=0)
+        mean_row = _zero_shot_row(model.params["speaker_table"].data, trained)
         spk = mm.SpeakerContext(speaker_id, Tensor(mean_row[None, :]))
     else:
         spk = model.speaker_context(speaker_id)

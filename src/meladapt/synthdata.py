@@ -242,7 +242,30 @@ def save_corpus(corpus_or_records, path, spec=None):
     binio.write_container(path, CORPUS_MAGIC, CORPUS_VERSION, meta, arrays)
 
 
-def _load_record(path, i, rm, arrays, mel_dim):
+def _check_transcript_arrays(where, phonemes, durations, pitch, n_frames, vocab_size):
+    """A full record's phoneme ids must be 1-D int64 inside the vocabulary,
+    its durations int64, non-negative and one per phoneme, and its pitch 1-D
+    float64 with one value per mel frame."""
+    if phonemes.ndim != 1 or phonemes.dtype != np.int64:
+        raise CheckpointFormatError(
+            f"{where} phonemes are {phonemes.dtype} of shape {phonemes.shape}, "
+            f"not 1-D int64")
+    if phonemes.size and not 0 <= phonemes.min() <= phonemes.max() < vocab_size:
+        raise CheckpointFormatError(
+            f"{where} phoneme ids outside the vocabulary of {vocab_size}")
+    if durations.dtype != np.int64 or durations.shape != phonemes.shape:
+        raise CheckpointFormatError(
+            f"{where} durations are {durations.dtype} of shape {durations.shape}, "
+            f"not int64 of shape {phonemes.shape}")
+    if durations.size and durations.min() < 0:
+        raise CheckpointFormatError(f"{where} has negative durations")
+    if pitch.dtype != np.float64 or pitch.shape != (n_frames,):
+        raise CheckpointFormatError(
+            f"{where} pitch is {pitch.dtype} of shape {pitch.shape}, "
+            f"not float64 of shape {(n_frames,)}")
+
+
+def _load_record(path, i, rm, arrays, spec):
     """Record `i` of a corpus container, from its meta entry and arrays."""
     tag = f"u{i:06d}"
     try:
@@ -251,13 +274,17 @@ def _load_record(path, i, rm, arrays, mel_dim):
         if not all(type(v) is int for v in ids):
             raise CheckpointFormatError(f"{path}: record {i} ids {ids} are not integers")
         mel = arrays[f"{tag}.mel"]
-        if mel.ndim != 2 or mel.shape[1] != mel_dim:
+        if mel.ndim != 2 or mel.shape[1] != spec.mel_dim:
             raise CheckpointFormatError(
-                f"{path}: record {i} mel shape {mel.shape}, spec mel_dim {mel_dim}")
+                f"{path}: record {i} mel shape {mel.shape}, spec mel_dim {spec.mel_dim}")
         if kind == "full":
-            return Utterance(*ids, phonemes=arrays[f"{tag}.phonemes"],
-                             durations=arrays[f"{tag}.durations"],
-                             pitch=arrays[f"{tag}.pitch"], mel=mel,
+            phonemes = arrays[f"{tag}.phonemes"]
+            durations = arrays[f"{tag}.durations"]
+            pitch = arrays[f"{tag}.pitch"]
+            _check_transcript_arrays(f"{path}: record {i}", phonemes, durations,
+                                     pitch, mel.shape[0], spec.phoneme_vocab_size)
+            return Utterance(*ids, phonemes=phonemes, durations=durations,
+                             pitch=pitch, mel=mel,
                              transcript_present=rm.get("transcript_present", True))
         if kind == "mel_only":
             return MelOnlyUtterance(*ids, mel)
@@ -282,7 +309,7 @@ def load_corpus(path, expect_mel_dim=None):
         raise CheckpointFormatError(
             f"{path}: corpus mel_dim {spec.mel_dim}, configuration wants {expect_mel_dim}"
         )
-    records = [_load_record(path, i, rm, arrays, spec.mel_dim)
+    records = [_load_record(path, i, rm, arrays, spec)
                for i, rm in enumerate(record_meta)]
     mel_only = [isinstance(r, MelOnlyUtterance) for r in records]
     if records and all(mel_only):

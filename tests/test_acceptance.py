@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line
 with its measured numbers. Criteria 4-7 rerun the desk-scale reference
-pipeline (shared session fixtures) and compare against the regression values
-pinned in configs/reference_desk.json; the stack is bitwise deterministic, so
-those comparisons are exact up to a tiny relative tolerance.
+pipeline (shared session fixtures) and compare `experiments.reference_record`,
+the call scripts/run_reference.py prints, against every value pinned in
+configs/reference_desk.json; the stack is bitwise deterministic, so those
+comparisons are exact up to a tiny relative tolerance.
 """
 
 import filecmp
@@ -24,7 +25,6 @@ from meladapt.autodiff import Tape, Tensor, backward
 from meladapt.checkpoint import load_checkpoint, param_diff, save_checkpoint
 from meladapt.config import desk_config
 from meladapt.errors import ConfigError, FreezeViolation
-from meladapt.evalmetrics import paired_report
 from meladapt.gradcheck import grad_check
 from meladapt.model import ModelConfig, TtsModel, param_groups
 
@@ -40,10 +40,6 @@ def _timed(label, fn):
     out = fn()
     TIMINGS[label] = TIMINGS.get(label, 0.0) + time.time() - t0
     return out
-
-
-def _mean(d):
-    return sum(d[k] for k in sorted(d)) / len(d)
 
 
 def _ok(name, detail):
@@ -74,27 +70,37 @@ def adapted_main(bench, aligned_ckpt):
 
 
 @pytest.fixture(scope="session")
-def arm_values(bench, adapted_main):
-    """Evaluations for every paired arm, computed once."""
-    speakers = bench.cfg.adapt_speaker_ids()
+def record(bench, adapted_main):
+    """The reference record; every stage it trains is timed first under its
+    own label, so the record itself only evaluates."""
     _timed("source_joint", lambda: bench.source("joint_training"))
     _timed("align_no_l2", lambda: bench.aligned("no_l2"))
-    arms = {
-        "adapted": adapted_main,
-        "unadapted": {s: bench.aligned() for s in speakers},
-        "joint": {s: _timed("adapt_joint", lambda s=s: bench.adapted(
-            s, base="joint")) for s in speakers},
-        "no_l2": {s: _timed("adapt_no_l2", lambda s=s: bench.adapted(
-            s, base="no_l2")) for s in speakers},
-        "finetune": {s: _timed("adapt_finetune", lambda s=s: bench.adapted(
-            s, variant="finetune_mel_encoder_and_decoder")) for s in speakers},
-    }
-    return {name: _timed("eval", lambda a=a: bench.evaluate_arm(a))
-            for name, a in arms.items()}
+    for s in bench.cfg.adapt_speaker_ids():
+        _timed("adapt_joint", lambda s=s: bench.adapted(s, base="joint"))
+        _timed("adapt_no_l2", lambda s=s: bench.adapted(s, base="no_l2"))
+        _timed("adapt_finetune", lambda s=s: bench.adapted(
+            s, variant="finetune_mel_encoder_and_decoder"))
+        for n in ex.SWEEP_SIZES:
+            _timed("adapt_sweep", lambda s=s, n=n: bench.adapted(s, n))
+    return _timed("eval", lambda: ex.reference_record(bench))
 
 
-def _close(a, b):
-    assert a == pytest.approx(b, rel=RTOL, abs=1e-12), (a, b)
+def _check_pinned(got, pinned, where):
+    """Compare every leaf of a pinned block: floats at `tolerance_rel`, the
+    adaptation `margin` at 1e-6 relative, anything else exactly."""
+    assert sorted(got) == sorted(pinned), where
+    for key, want in pinned.items():
+        path = f"{where}.{key}"
+        if isinstance(want, dict):
+            _check_pinned(got[key], want, path)
+            continue
+        if key == "margin":
+            ok = got[key] == pytest.approx(want, rel=1e-6, abs=1e-9)
+        elif isinstance(want, float) and key != "tolerance_rel":
+            ok = got[key] == pytest.approx(want, rel=RTOL, abs=1e-12)
+        else:
+            ok = got[key] == want
+        assert ok, (path, got[key], want)
 
 
 # -- criterion 1: gradient suite --------------------------------------------
@@ -217,7 +223,7 @@ def test_criterion_3_transcript_firewall(bench, adapted_main):
     assert set(sd.MelOnlyUtterance.__dataclass_fields__) == {
         "speaker_id", "utterance_id", "mel"}
     sig = set(inspect.signature(me.reconstruction_forward).parameters)
-    assert sig == {"model", "mel_in", "speaker", "pitch", "acoustic"}
+    assert sig == {"model", "mel_in", "speaker"}
 
     for ckpt in adapted_main.values():
         audit = set(ckpt.provenance["field_audit"])
@@ -235,19 +241,17 @@ def test_criterion_3_transcript_firewall(bench, adapted_main):
 
 # -- criterion 4: end-to-end adaptation gain --------------------------------
 
-def test_criterion_4_adaptation_gain(bench, arm_values):
-    assert sd.corpus_hash(bench.source_corpus) == REF["source_corpus_hash"]
-    pinned = REF["criterion4_adaptation_gain"]
+def test_criterion_4_adaptation_gain(record):
+    assert sorted(record) == sorted(REF)
+    top = {k: v for k, v in REF.items() if not k.startswith("criterion")}
+    _check_pinned({k: record[k] for k in top}, top, "record")
+    _check_pinned(record["criterion4_adaptation_gain"],
+                  REF["criterion4_adaptation_gain"], "criterion4")
     details = []
-    for metric in ex.EVAL_METRICS:
-        adapted = _mean(arm_values["adapted"][metric])
-        unadapted = _mean(arm_values["unadapted"][metric])
+    for metric, got in record["criterion4_adaptation_gain"].items():
+        adapted, unadapted = got["adapted_mean"], got["unadapted_mean"]
         assert adapted < unadapted, (
             f"{metric}: adapted {adapted} not better than {unadapted}")
-        _close(adapted, pinned[metric]["adapted_mean"])
-        _close(unadapted, pinned[metric]["unadapted_mean"])
-        margin = unadapted - adapted
-        assert margin == pytest.approx(pinned[metric]["margin"], rel=1e-6, abs=1e-9)
         details.append(f"{metric} {unadapted:.4f}->{adapted:.4f}")
     spent = sum(TIMINGS[k] for k in ("source", "align", "adapt_main", "eval"))
     assert spent < 600, f"adaptation pipeline took {spent:.0f}s"
@@ -257,20 +261,17 @@ def test_criterion_4_adaptation_gain(bench, arm_values):
 
 # -- criterion 5: ablation directions ---------------------------------------
 
-def test_criterion_5_table2_directions(arm_values):
+def test_criterion_5_table2_directions(bench, record):
+    n_utts = sum(len(bench.eval_utterances(s))
+                 for s in bench.cfg.adapt_speaker_ids())
+    assert n_utts >= 15
     details = []
     for arm, key in (("no_l2", "criterion5a_no_l2"),
                      ("finetune", "criterion5b_finetune")):
-        a = arm_values["adapted"]["mel_mae"]
-        b = arm_values[arm]["mel_mae"]
-        assert len(a) >= 15
-        rep = paired_report("main", a, arm, b, metric="mel_mae")
-        assert rep.fraction_a_beats_b > 0.5, (
-            f"main does not beat {arm}: fraction {rep.fraction_a_beats_b}")
-        _close(rep.fraction_a_beats_b, REF[key]["mel_mae"]["fraction_main_wins"])
-        _close(rep.mean_delta, REF[key]["mel_mae"]["mean_delta"])
-        details.append(f"main beats {arm} on {rep.fraction_a_beats_b:.0%} "
-                       f"of {len(a)} utterances")
+        _check_pinned(record[key], REF[key], key)
+        wins = record[key]["mel_mae"]["fraction_main_wins"]
+        assert wins > 0.5, f"main does not beat {arm}: fraction {wins}"
+        details.append(f"main beats {arm} on {wins:.0%} of {n_utts} utterances")
     spent = sum(TIMINGS[k] for k in (
         "source", "align", "align_no_l2", "adapt_main", "adapt_no_l2",
         "adapt_finetune", "eval"))
@@ -280,15 +281,12 @@ def test_criterion_5_table2_directions(arm_values):
 
 # -- criterion 6: joint-training direction ----------------------------------
 
-def test_criterion_6_table1_direction(arm_values):
-    pinned = REF["criterion6_joint"]
+def test_criterion_6_table1_direction(record):
+    _check_pinned(record["criterion6_joint"], REF["criterion6_joint"], "criterion6")
     details = []
-    for metric in ex.EVAL_METRICS:
-        main = _mean(arm_values["adapted"][metric])
-        joint = _mean(arm_values["joint"][metric])
+    for metric, got in record["criterion6_joint"].items():
+        main, joint = got["main_mean"], got["joint_mean"]
         assert main < joint, f"{metric}: main {main} not better than joint {joint}"
-        _close(main, pinned[metric]["main_mean"])
-        _close(joint, pinned[metric]["joint_mean"])
         details.append(f"{metric} {main:.4f} vs {joint:.4f}")
     spent = sum(TIMINGS[k] for k in (
         "source", "source_joint", "align", "adapt_main", "adapt_joint", "eval"))
@@ -298,14 +296,9 @@ def test_criterion_6_table1_direction(arm_values):
 
 # -- criterion 7: data-sweep saturation -------------------------------------
 
-def test_criterion_7_sweep_saturation(bench, aligned_ckpt):
-    speakers = bench.cfg.adapt_speaker_ids()
-    means = {}
-    for n in ex.SWEEP_SIZES:
-        arm = {s: _timed("adapt_sweep", lambda s=s, n=n: bench.adapted(s, n))
-               for s in speakers}
-        means[n] = _mean(_timed("eval", lambda a=arm: bench.evaluate_arm(a))["mel_mae"])
-        _close(means[n], REF["criterion7_sweep"]["mel_mae"][str(n)])
+def test_criterion_7_sweep_saturation(record):
+    _check_pinned(record["criterion7_sweep"], REF["criterion7_sweep"], "criterion7")
+    means = {n: record["criterion7_sweep"]["mel_mae"][str(n)] for n in ex.SWEEP_SIZES}
     early = [means[n] for n in (1, 2, 5, 10, 20)]
     inversions = sum(1 for a, b in zip(early, early[1:]) if b > a)
     assert inversions <= 1, f"sweep not monotone to n=20: {early}"

@@ -203,7 +203,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("breakage", [
         "record_without_kind", "non_object_record", "spec_out_of_range",
         "records_not_a_list", "durations_off_mel_frames", "mel_width_off_spec",
-        "string_speaker_id"])
+        "string_speaker_id", "float_phonemes", "pitch_one_frame_short",
+        "phoneme_without_duration", "phoneme_outside_vocabulary",
+        "negative_duration"])
     def test_corrupt_corpus_is_exit_5(self, workdir, tmp_path, breakage, capsys):
         meta, arrays = binio.read_container(workdir / "data" / "adapt_3_eval.corpus",
                                             sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
@@ -219,6 +221,18 @@ class TestExitCodes:
             arrays["u000000.durations"][0] += 1
         elif breakage == "mel_width_off_spec":
             arrays["u000000.mel"] = arrays["u000000.mel"][:, :-1]
+        elif breakage == "float_phonemes":
+            arrays["u000000.phonemes"] = arrays["u000000.phonemes"].astype(np.float64)
+        elif breakage == "pitch_one_frame_short":
+            arrays["u000000.pitch"] = arrays["u000000.pitch"][:-1]
+        elif breakage == "phoneme_without_duration":
+            arrays["u000000.phonemes"] = np.append(arrays["u000000.phonemes"], 0)
+        elif breakage == "phoneme_outside_vocabulary":
+            arrays["u000000.phonemes"][0] = meta["spec"]["phoneme_vocab_size"]
+        elif breakage == "negative_duration":  # the sum still fits the mel
+            durations = arrays["u000000.durations"]
+            durations[0] += durations[1] + 1
+            durations[1] = -1
         else:
             meta["records"][0]["speaker_id"] = "3"
         bad = tmp_path / "bad.corpus"

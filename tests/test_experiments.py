@@ -1,4 +1,7 @@
 import filecmp
+import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,8 @@ from meladapt import experiments as ex
 from meladapt.errors import ConfigError
 from meladapt.model import ModelConfig
 from meladapt.synthdata import MelOnlyUtterance, OracleSpec
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(seed=3):
@@ -117,3 +122,23 @@ class TestRecipes:
         assert len(sweep_csv) == 1 + len(ex.SWEEP_SIZES)
         assert [int(line.split(",")[0]) for line in sweep_csv[1:]] == list(
             ex.SWEEP_SIZES)
+
+
+def _leaves(d, path=()):
+    for key, v in d.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, path + (key,))
+        else:
+            yield path + (key,), v
+
+
+def test_reference_record_matches_the_pinned_schema():
+    """The record `scripts/run_reference.py --pin` writes and the acceptance
+    suite compares has exactly the pinned file's leaves, finite numbers, and
+    the same values from two fresh workbenches."""
+    pinned = json.loads((REPO / "configs" / "reference_desk.json").read_text())
+    record = ex.reference_record(ex.Workbench(tiny_config(), seed=0))
+    leaves = dict(_leaves(record))
+    assert leaves.keys() == dict(_leaves(pinned)).keys()
+    assert all(math.isfinite(v) for v in leaves.values() if not isinstance(v, str))
+    assert record == ex.reference_record(ex.Workbench(tiny_config(), seed=0))

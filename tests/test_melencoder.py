@@ -123,10 +123,8 @@ class TestReconstructionForward:
     def test_signature_admits_no_phoneme_argument(self):
         import inspect
 
-        for fn, want in ((me.reconstruction_forward,
-                          {"model", "mel_in", "speaker", "pitch", "acoustic"}),
-                         (me.reconstruction_inputs,
-                          {"model", "mel_in", "pitch", "acoustic"})):
+        for fn, want in ((me.reconstruction_forward, {"model", "mel_in", "speaker"}),
+                         (me.reconstruction_inputs, {"model", "mel_in"})):
             names = set(inspect.signature(fn).parameters)
             assert "phoneme" not in " ".join(names)
             assert "duration" not in " ".join(names)

@@ -7,7 +7,8 @@ The numbers come from `meladapt.experiments.reference_record`, the same call
 the acceptance suite (tests/test_acceptance.py) checks against the pin. The
 whole stack is bitwise deterministic, so these values are exact regression
 constants, not statistical estimates. `--pin` writes them into
-configs/reference_desk.json.
+configs/reference_desk.json and prints every pinned value that changed as
+`path: old -> new (rel r)`, the list the re-pin protocol records.
 
 Usage: python3 scripts/run_reference.py [--pin] [--seed N]
 """
@@ -22,7 +23,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from meladapt.binio import write_text                       # noqa: E402
 from meladapt.config import desk_config                     # noqa: E402
-from meladapt.experiments import Workbench, reference_record  # noqa: E402
+from meladapt.experiments import (                         # noqa: E402
+    Workbench, pin_changes, reference_record)
 
 
 def main():
@@ -38,6 +40,9 @@ def main():
     print(text)
     if args.pin:
         target = REPO / "configs" / "reference_desk.json"
+        old = json.loads(target.read_text()) if target.exists() else {}
+        changes = pin_changes(old, record)
+        print(f"{len(changes)} pinned values changed", *changes, sep="\n")
         write_text(target, text + "\n")
         print(f"pinned -> {target}")
 

@@ -222,15 +222,22 @@ def _normalize(a, eps):
         raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     if a.ndim != 2:
         raise ShapeError(f"layer_norm expects (T, d), got {a.shape}")
-    centered = a - a.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    centered = a - _row_mean(a)
+    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
     return centered * inv, inv
+
+
+def _row_mean(a):
+    """`a.mean(axis=1, keepdims=True)` of a 2-D array, bit for bit: the same
+    pairwise row sum and division numpy's mean makes, without its Python
+    overhead."""
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
 def _normalize_grad(g, xhat, inv):
     """Gradient through `_normalize` of the gradient `g` wrt xhat."""
-    m1 = g.mean(axis=1, keepdims=True)
-    m2 = (g * xhat).mean(axis=1, keepdims=True)
+    m1 = _row_mean(g)
+    m2 = _row_mean(g * xhat)
     return inv * (g - m1 - xhat * m2)
 
 

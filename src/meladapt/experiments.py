@@ -282,6 +282,35 @@ def reference_record(bench) -> dict:
     return record
 
 
+class _Absent:
+    def __repr__(self):
+        return "absent"
+
+
+_ABSENT = _Absent()
+
+
+def pin_changes(old, new, path="") -> list:
+    """One line `path: old -> new (rel r)` per leaf of two JSON values that
+    differs, in key order; `rel` is given between two numbers, and a leaf on
+    one side only shows the other side as `absent`."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for k in sorted(old.keys() | new.keys())
+                for line in pin_changes(old.get(k, _ABSENT), new.get(k, _ABSENT),
+                                        f"{path}.{k}" if path else str(k))]
+    if isinstance(old, list) and isinstance(new, list):
+        n = max(len(old), len(new))
+        old, new = (v + [_ABSENT] * (n - len(v)) for v in (old, new))
+        return [line for i, (a, b) in enumerate(zip(old, new))
+                for line in pin_changes(a, b, f"{path}[{i}]")]
+    if old == new and type(old) is type(new):
+        return []
+    line = f"{path}: {old!r} -> {new!r}"
+    if all(type(v) in (int, float) for v in (old, new)) and old != 0:
+        line += f" (rel {abs(new - old) / abs(old):.1e})"
+    return [line]
+
+
 def _write_outputs(bench, result, out_dir):
     from .config import write_effective_config
 

@@ -123,6 +123,13 @@ class TestLayerNorm:
         assert np.abs(mu).max() < 1e-9
         assert np.abs(var - 1).max() < 1e-6
 
+    def test_row_mean_is_numpy_mean_bitwise(self):
+        # d=129 crosses numpy's 8-wide unrolled block and its pairwise split
+        rng = np.random.default_rng(12)
+        for shape in [(1, 1), (5, 3), (7, 8), (40, 64), (3, 129), (2, 300)]:
+            x = rng.normal(size=shape) * rng.lognormal(size=shape)
+            assert ad._row_mean(x).tobytes() == x.mean(axis=1, keepdims=True).tobytes()
+
     def test_eps_validation(self):
         with pytest.raises(ConfigError):
             ad.layer_norm(Tensor(np.zeros((2, 2))), None, None, eps=0.0)

@@ -16,7 +16,8 @@ the loss rows must agree to the reference tolerance, 1e-9 relative, and the
 checkpoint hashes are not compared.
 
 Re-pin after a change that alters numerics on purpose (the re-pin protocol
-of ROADMAP.md): `PYTHONPATH=src python3 -m tests.test_bitexact --pin`.
+of ROADMAP.md): `PYTHONPATH=src python3 -m tests.test_bitexact --pin`. It
+prints every pinned value that changed as `path: old -> new (rel r)`.
 """
 
 import hashlib
@@ -30,6 +31,8 @@ from meladapt import autodiff as ad
 from meladapt import checkpoint as cp
 from meladapt import pipeline as pl
 from meladapt import synthdata as sd
+from meladapt.binio import write_text
+from meladapt.experiments import pin_changes
 from tests.test_fused_ops import composed_attention, composed_conditional_layer_norm
 from tests.test_pipeline import CFG, SPEC
 
@@ -96,7 +99,10 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         rows, hashes = run_tiny(tmp)
-    PIN.write_text(json.dumps({"float_fingerprint": float_fingerprint(), "rows": rows,
-                               "checkpoint_sha256": hashes}, indent=1)
-                   .replace("\n   ", " ").replace("\n  ]", "]") + "\n")
+    pin = {"float_fingerprint": float_fingerprint(), "rows": rows,
+           "checkpoint_sha256": hashes}
+    changes = pin_changes(json.loads(PIN.read_text()) if PIN.exists() else {}, pin)
+    print(f"{len(changes)} pinned values changed", *changes, sep="\n")
+    write_text(PIN, json.dumps(pin, indent=1)
+               .replace("\n   ", " ").replace("\n  ]", "]") + "\n")
     print(f"wrote {PIN}")

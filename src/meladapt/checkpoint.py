@@ -36,7 +36,8 @@ class Checkpoint:
 
 def _check_registry(config, params, source):
     """Raise CheckpointFormatError unless `params` (name -> ndarray) holds
-    exactly the registry's names of `config`, each at its registry shape."""
+    exactly the registry's names of `config`, each a float64 array at its
+    registry shape."""
     shapes = param_shapes(config)
     if shapes.keys() != params.keys():
         extra = set(params) - set(shapes)
@@ -51,6 +52,9 @@ def _check_registry(config, params, source):
                 f"{source}: parameter '{name}' has shape {arr.shape}, registry "
                 f"expects {shapes[name]}"
             )
+        if arr.dtype != np.float64:
+            raise errors.CheckpointFormatError(
+                f"{source}: parameter '{name}' is {arr.dtype}, not float64")
 
 
 def save_checkpoint(ckpt: Checkpoint, path):

@@ -274,9 +274,10 @@ def _load_record(path, i, rm, arrays, spec):
         if not all(type(v) is int for v in ids):
             raise CheckpointFormatError(f"{path}: record {i} ids {ids} are not integers")
         mel = arrays[f"{tag}.mel"]
-        if mel.ndim != 2 or mel.shape[1] != spec.mel_dim:
+        if mel.dtype != np.float64 or mel.ndim != 2 or mel.shape[1] != spec.mel_dim:
             raise CheckpointFormatError(
-                f"{path}: record {i} mel shape {mel.shape}, spec mel_dim {spec.mel_dim}")
+                f"{path}: record {i} mel is {mel.dtype} of shape {mel.shape}, not "
+                f"float64 of width mel_dim {spec.mel_dim}")
         if kind == "full":
             phonemes = arrays[f"{tag}.phonemes"]
             durations = arrays[f"{tag}.durations"]

@@ -154,6 +154,16 @@ class TestSerialization:
         with pytest.raises(CheckpointFormatError, match="registry expects"):
             cp.load_checkpoint(path)
 
+    def test_load_rejects_int64_param(self, tiny, tmp_path):
+        ckpt = snap(tiny)
+        ckpt.params["mel_out.b"] = np.zeros(TINY.mel_dim, dtype=np.int64)
+        path = tmp_path / "i.ckpt"
+        cp.save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointFormatError, match="int64, not float64"):
+            cp.load_checkpoint(path)
+        with pytest.raises(CheckpointFormatError, match="int64, not float64"):
+            ckpt.to_model()
+
     def test_unknown_parameter_name_code(self, tiny, tmp_path):
         ckpt = snap(tiny)
         ckpt.params["mystery.w"] = np.zeros((2, 2))

@@ -179,6 +179,19 @@ class TestExitCodes:
         assert code == 5
         assert "malformed meta" in capsys.readouterr().err
 
+    def test_int64_checkpoint_param_is_exit_5(self, workdir, tmp_path, capsys):
+        meta, arrays = binio.read_container(workdir / "source.ckpt",
+                                            CKPT_MAGIC, CKPT_VERSION)
+        arrays["param.mel_out.b"] = arrays["param.mel_out.b"].astype(np.int64)
+        bad = tmp_path / "bad.ckpt"
+        binio.write_container(bad, CKPT_MAGIC, CKPT_VERSION, meta, arrays)
+        text = tmp_path / "text.txt"
+        text.write_text("1 2 3\n")
+        code = cli.main(["synthesize", "--ckpt", str(bad), "--text-file", str(text),
+                         "--speaker", "0", "--out", str(tmp_path / "x.mel")])
+        assert code == 5
+        assert "not float64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("breakage", ["string_shape", "duplicate_array"])
     def test_malformed_container_header_is_exit_5(self, workdir, tmp_path, breakage,
                                                   capsys):
@@ -205,7 +218,7 @@ class TestExitCodes:
         "records_not_a_list", "durations_off_mel_frames", "mel_width_off_spec",
         "string_speaker_id", "float_phonemes", "pitch_one_frame_short",
         "phoneme_without_duration", "phoneme_outside_vocabulary",
-        "negative_duration"])
+        "negative_duration", "int64_mel"])
     def test_corrupt_corpus_is_exit_5(self, workdir, tmp_path, breakage, capsys):
         meta, arrays = binio.read_container(workdir / "data" / "adapt_3_eval.corpus",
                                             sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
@@ -221,6 +234,8 @@ class TestExitCodes:
             arrays["u000000.durations"][0] += 1
         elif breakage == "mel_width_off_spec":
             arrays["u000000.mel"] = arrays["u000000.mel"][:, :-1]
+        elif breakage == "int64_mel":
+            arrays["u000000.mel"] = arrays["u000000.mel"].astype(np.int64)
         elif breakage == "float_phonemes":
             arrays["u000000.phonemes"] = arrays["u000000.phonemes"].astype(np.float64)
         elif breakage == "pitch_one_frame_short":

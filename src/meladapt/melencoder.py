@@ -2,7 +2,10 @@
 
 The encoder output substitutes for the expanded phoneme hidden sequence at
 the decoder boundary, so a model adapted from mel input alone reuses the
-whole decoder-side input construction of the transcript path.
+whole decoder-side input construction of the transcript path. Align and joint
+training compute one latent per record and build both of their losses from
+it: the alignment loss holds it to the phoneme side, and `decoder_inputs`
+turns it into the decoder input of the reconstruction loss.
 """
 
 from . import autodiff as ad
@@ -37,17 +40,23 @@ def alignment_loss(mel_hidden, phoneme_hidden_expanded, mask=None):
     return ad.masked_mse(mel_hidden, target, mask)
 
 
-def reconstruction_inputs(model, mel_in) -> Tensor:
-    """Decoder input built from mel alone: no phoneme or duration input exists.
+def decoder_inputs(model, h_mel, mel_in) -> Tensor:
+    """Decoder input from the mel-encoder latent `h_mel` of `mel_in`.
 
-    Pitch comes from the frozen pitch predictor on the encoder latent and the
+    Pitch comes from the frozen pitch predictor on the latent and the
     acoustic conditions from the acoustic extractor on `mel_in` itself.
+    Align and joint training pass the latent their alignment loss holds, so
+    one mel-encoder pass per record serves both losses.
     """
-    h = mel_encoder_forward(model, mel_in)
-    x = m.pitch_pathway(model, h, m.pitch_predictor(model, h))
+    x = m.pitch_pathway(model, h_mel, m.pitch_predictor(model, h_mel))
     acoustic = m.acoustic_extract(model, mel_in)
     utt_vec = ad.matmul(m._mean_rows_matrix(mel_in.shape[0]), acoustic)
     return m.acoustic_additions(model, x, acoustic, utt_vec)
+
+
+def reconstruction_inputs(model, mel_in) -> Tensor:
+    """Decoder input built from mel alone: no phoneme or duration input exists."""
+    return decoder_inputs(model, mel_encoder_forward(model, mel_in), mel_in)
 
 
 def reconstruction_forward(model, mel_in, speaker) -> Tensor:

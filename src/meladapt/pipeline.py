@@ -202,7 +202,7 @@ def _source_losses(model, utt, with_alignment=False):
         # decoder serves the phoneme and mel latent streams simultaneously
         h_mel = me.mel_encoder_forward(model, mel)
         losses["alignment"] = me.alignment_loss(h_mel, res.expanded_hidden)
-        recon = me.reconstruction_forward(model, mel, spk)
+        recon = mm.decode(model, me.decoder_inputs(model, h_mel, mel), spk)
         losses["reconstruction"] = ad.masked_mae(recon, mel)
     return losses
 
@@ -213,7 +213,7 @@ def _align_losses(model, utt, key, cache):
     h_reg = _frozen(cache, key, lambda: mm.length_regulate(
         mm.encode_phonemes(model, utt.phonemes), utt.durations))
     h_mel = me.mel_encoder_forward(model, mel)
-    recon = me.reconstruction_forward(model, mel, spk)
+    recon = mm.decode(model, me.decoder_inputs(model, h_mel, mel), spk)
     return {
         "reconstruction": ad.masked_mae(recon, mel),
         "alignment": me.alignment_loss(h_mel, h_reg),

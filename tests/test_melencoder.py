@@ -124,7 +124,8 @@ class TestReconstructionForward:
         import inspect
 
         for fn, want in ((me.reconstruction_forward, {"model", "mel_in", "speaker"}),
-                         (me.reconstruction_inputs, {"model", "mel_in"})):
+                         (me.reconstruction_inputs, {"model", "mel_in"}),
+                         (me.decoder_inputs, {"model", "h_mel", "mel_in"})):
             names = set(inspect.signature(fn).parameters)
             assert "phoneme" not in " ".join(names)
             assert "duration" not in " ".join(names)

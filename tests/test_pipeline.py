@@ -284,7 +284,8 @@ class TestAdaptUntranscribed:
 
 
 # loss functions as they were before the per-stage cache: every sub-graph is
-# recomputed on every pick, through the public model and mel-encoder calls
+# recomputed on every pick, through the public model and mel-encoder calls;
+# align builds both of its losses from one mel-encoder latent
 
 
 def _uncached_align(model, utt, key, cache):
@@ -292,7 +293,7 @@ def _uncached_align(model, utt, key, cache):
     spk = model.speaker_context(utt.speaker_id)
     h_reg = m.length_regulate(m.encode_phonemes(model, utt.phonemes), utt.durations)
     h_mel = me.mel_encoder_forward(model, mel)
-    recon = me.reconstruction_forward(model, mel, spk)
+    recon = m.decode(model, me.decoder_inputs(model, h_mel, mel), spk)
     return {"reconstruction": ad.masked_mae(recon, mel),
             "alignment": me.alignment_loss(h_mel, h_reg)}
 
@@ -354,6 +355,18 @@ class TestFrozenCache:
         calls = self._counting(monkeypatch, me, "mel_encoder_forward")
         plan = pl.adapt_plan(steps=3, seed=2, variant="finetune_mel_encoder_and_decoder")
         pl.adapt_untranscribed(aligned_ckpt, adapt_records, plan)
+        assert len(calls) == plan.steps * plan.batch_size
+
+    def test_align_encodes_mel_once_per_pick(self, source_ckpt, corpus, monkeypatch):
+        calls = self._counting(monkeypatch, me, "mel_encoder_forward")
+        plan = pl.align_plan(steps=3, seed=1)
+        pl.align_mel_encoder(source_ckpt, corpus, plan)
+        assert len(calls) == plan.steps * plan.batch_size
+
+    def test_joint_source_encodes_mel_once_per_pick(self, corpus, monkeypatch):
+        calls = self._counting(monkeypatch, me, "mel_encoder_forward")
+        plan = pl.source_plan(steps=2, seed=0, variant="joint_training")
+        pl.train_source(corpus, CFG, plan)
         assert len(calls) == plan.steps * plan.batch_size
 
     def test_align_encodes_phonemes_once_per_record(self, source_ckpt, corpus,

@@ -229,8 +229,7 @@ def _normalize(a, eps):
 
 def _row_mean(a):
     """`a.mean(axis=1, keepdims=True)` of a 2-D array, bit for bit: the same
-    pairwise row sum and division numpy's mean makes, without its Python
-    overhead."""
+    row sum and division numpy's mean makes, without its Python overhead."""
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 

@@ -18,6 +18,15 @@ pairs to `_op`, and `_op` and `backward` together are the tape protocol:
   op lists them, and adds the result into that parent's `grad`. A frozen
   parent's gradient is never computed and its `grad` stays None.
 
+A parameter's `grad` may also be a pre-zeroed buffer, its view of a training
+stage's gradient arena (`optim.AdamState`); then the first arrival adds into
+zeros in place instead of storing a copy. The sums are the same bits, except
+that 0.0 + (-0.0) is +0.0 where the copy kept -0.0. For Adam that sign never
+reaches an update: `m` and `v` start at +0.0, a float sum is -0.0 only when
+both terms are, and with beta1 > 0.5 a nonzero `m` never rounds to zero when
+scaled, so `m` and `v` never hold -0.0 and adding either zero to them gives
+the same value.
+
 One op may list the same parent in several pairs; each adds in its turn.
 The gradient functions of one record may share work through `_lazy`, which
 computes an intermediate gradient on the first call that needs it. The
@@ -120,8 +129,10 @@ def backward(loss, tape, seed=1.0):
     """Populate gradients of every tracked ancestor of a scalar loss.
 
     Replays the tape's records in reverse. Tensors not feeding the loss are
-    left untouched (their grad stays None). A parent's first gradient is
-    stored as a copy, later ones are added in place.
+    left untouched (their grad stays None, or zero in a pre-zeroed buffer).
+    A parent whose grad is None stores its first gradient as a copy; every
+    other arrival, including the first into a pre-zeroed buffer, is added in
+    place.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")

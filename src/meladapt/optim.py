@@ -1,70 +1,108 @@
-"""Adam optimizer with bias correction, plus the learning-rate schedules."""
+"""Adam with bias correction over flat arenas, plus the learning-rate schedules.
+
+`AdamState(params)` packs one trainable set, a {name: Tensor} dict, into
+float64 arenas in the dict's order: the parameters, their gradients, Adam's
+moments `m` and `v`, and one scratch buffer. Each tensor's `data` and `grad`
+become reshaped views of the first two, so ops read the arena, `backward`
+adds gradients into it in place, and one `adam_step` is a fixed number of
+whole-arena ufunc passes however many tensors the set holds. The passes are
+elementwise and keep the textbook operand order, `(1-b2)*(g*g)` and
+`(lr*mhat)/(sqrt(vhat)+eps)`, so the result equals a tensor-by-tensor update
+bit for bit.
+
+A packed tensor must be written into, never rebound (`t.data[...] = x`, not
+`t.data = x`): a rebound tensor is detached, and later steps update the
+arena without it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 
 
-@dataclass
 class AdamState:
-    """Per-parameter moment buffers and the shared step counter.
+    """Adam's hyperparameters, step counter and arenas for one trainable set.
 
     `t` increases by exactly 1 per applied step. `learning_rate` is the rate
     for the NEXT step; training loops overwrite it from a schedule before
-    each call to `adam_step`.
+    each call to `adam_step`. `data`, `grad`, `m` and `v` are the flat
+    arenas; `views(arena)` names a parameter's slice of any of them, and
+    `grads` holds the gradient views that `backward` fills.
     """
 
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-9
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    def __init__(self, params, learning_rate=1e-4, beta1=0.9, beta2=0.98,
+                 epsilon=1e-9):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.t = 0
+        self._slices = {}
+        end = 0
+        for name, t in params.items():
+            self._slices[name] = (slice(end, end + t.size), t.shape)
+            end += t.size
+        self.data = np.empty(end)
+        self.grad = np.zeros(end)
+        self.m = np.zeros(end)
+        self.v = np.zeros(end)
+        self._scratch = np.empty(end)
+        data, self.grads = self.views(self.data), self.views(self.grad)
+        for name, t in params.items():
+            data[name][...] = t.data
+            t.data, t.grad = data[name], self.grads[name]
 
-    def buffers_for(self, name, shape):
-        if name not in self.m:
-            self.m[name] = np.zeros(shape)
-            self.v[name] = np.zeros(shape)
-        return self.m[name], self.v[name]
+    def views(self, arena):
+        """{name: that parameter's slice of `arena`, in its shape}."""
+        return {name: arena[s].reshape(shape) for name, (s, shape) in self._slices.items()}
 
 
 def adam_step(params, grads, state, group_of=None):
-    """Apply one bias-corrected Adam update in place.
+    """Apply one bias-corrected Adam update to the set `state` packed.
 
-    `params` maps name -> Tensor, `grads` maps name -> ndarray (same shapes).
-    A non-finite gradient aborts before any parameter is touched, naming the
-    parameter and (when `group_of` is given) its group.
+    `params` is that {name: Tensor} set and `grads` its gradient views,
+    `state.grads`; a parameter no gradient reached reads zeros there and
+    moves only by its momentum. A non-finite gradient aborts before `t`,
+    the moments or any parameter is touched, naming the first offending
+    parameter in the set's order and (when `group_of` is given) its group.
+    The step leaves scratch values in the gradient arena, so a training
+    loop zeroes it before the next `backward`.
     """
-    if set(params) != set(grads):
-        missing = set(params) ^ set(grads)
-        raise ShapeError(f"parameter/gradient name mismatch: {sorted(missing)}")
-    for name, g in grads.items():
-        if params[name].shape != np.asarray(g).shape:
-            raise ShapeError(
-                f"gradient shape {np.asarray(g).shape} != parameter shape "
-                f"{params[name].shape} for '{name}'"
-            )
-        if not np.isfinite(g).all():
-            group = f" (group {group_of(name)})" if group_of else ""
-            raise NumericError(f"non-finite gradient for parameter '{name}'{group}")
+    if params.keys() != state.grads.keys():
+        raise ShapeError(f"parameter names do not match the packed set: "
+                         f"{sorted(params.keys() ^ state.grads.keys())}")
+    if grads is not state.grads:
+        raise ShapeError("adam_step reads the gradients from the state's arena; "
+                         "pass state.grads")
+    g = state.grad
+    if not np.isfinite(g).all():
+        name = next(n for n, a in grads.items() if not np.isfinite(a).all())
+        group = f" (group {group_of(name)})" if group_of else ""
+        raise NumericError(f"non-finite gradient for parameter '{name}'{group}")
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name, g in grads.items():
-        m, v = state.buffers_for(name, params[name].shape)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        mhat = m / bc1
-        vhat = v / bc2
-        params[name].data -= state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
+    b1, b2 = state.beta1, state.beta2
+    m, v, s = state.m, state.v, state._scratch
+    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - b2
+    v += s
+    # data -= (lr*mhat) / (sqrt(vhat) + eps), with vhat built in g's place
+    np.divide(m, 1.0 - b1 ** t, out=s)
+    s *= state.learning_rate
+    np.divide(v, 1.0 - b2 ** t, out=g)
+    np.sqrt(g, out=g)
+    g += state.epsilon
+    s /= g
+    state.data -= s
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 adaptation, and synthesis, with bitwise freeze auditing between stages."""
 
 import csv
+import gc
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -119,7 +120,10 @@ def _run_stage(model, plan, items, loss_fn, metrics):
 
     `loss_fn(model, item, key)` gets the item's position in `items` as `key`.
     Metrics for a step are recorded before its update, so step 0 describes
-    the incoming model exactly.
+    the incoming model exactly. The trainable set is packed into one Adam
+    arena for the stage; `loss_fn` must not rebind a parameter's `data`.
+    The cyclic garbage collector is paused for the steps, since tape records
+    hold no reference cycles, and the caller's setting is restored.
     """
     if not items:
         raise ConfigError(f"stage {plan.stage} has no training records")
@@ -127,40 +131,45 @@ def _run_stage(model, plan, items, loss_fn, metrics):
     trainable = model.trainable_params()
     if not trainable:
         raise ConfigError(f"stage {plan.stage} trains no parameters")
-    state = AdamState(learning_rate=plan.schedule.value, beta1=plan.adam_beta1,
-                      beta2=plan.adam_beta2, epsilon=plan.adam_epsilon)
+    state = AdamState(trainable, learning_rate=plan.schedule.value,
+                      beta1=plan.adam_beta1, beta2=plan.adam_beta2,
+                      epsilon=plan.adam_epsilon)
     weights = plan.weights()
     labels = mm.param_groups(model.config)
     rng = np.random.default_rng(plan.seed)
-    for step in range(plan.steps):
-        picks = rng.integers(0, len(items), size=plan.batch_size)
-        sums = {}
-        with Tape() as tape:
-            for i in picks:
-                for name, part in loss_fn(model, items[i], int(i)).items():
-                    sums[name] = part if name not in sums else ad.add(sums[name], part)
-            total = None
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for step in range(plan.steps):
+            picks = rng.integers(0, len(items), size=plan.batch_size)
+            sums = {}
+            with Tape() as tape:
+                for i in picks:
+                    for name, part in loss_fn(model, items[i], int(i)).items():
+                        sums[name] = part if name not in sums else ad.add(sums[name], part)
+                total = None
+                for name, part in sums.items():
+                    w = weights.get(name, 1.0)
+                    if w == 0.0:
+                        continue
+                    term = ad.smul(part, w / plan.batch_size)
+                    total = term if total is None else ad.add(total, term)
             for name, part in sums.items():
-                w = weights.get(name, 1.0)
-                if w == 0.0:
-                    continue
-                term = ad.smul(part, w / plan.batch_size)
-                total = term if total is None else ad.add(total, term)
-        for name, part in sums.items():
-            metrics.append((step, plan.stage, name, part.item() / plan.batch_size))
-        metrics.append((step, plan.stage, "total", total.item()))
-        if not np.isfinite(total.item()):
-            raise NumericError(
-                f"non-finite loss at step {step} of {plan.stage}; parameters "
-                f"kept at their last finite state"
-            )
-        backward(total, tape)
-        grads = {}
-        for name, t in trainable.items():
-            grads[name] = t.grad if t.grad is not None else np.zeros(t.shape)
-        state.learning_rate = plan.schedule.at(state.t + 1)
-        adam_step(trainable, grads, state, group_of=labels.__getitem__)
-        for t in model.params.values():
+                metrics.append((step, plan.stage, name, part.item() / plan.batch_size))
+            metrics.append((step, plan.stage, "total", total.item()))
+            if not np.isfinite(total.item()):
+                raise NumericError(
+                    f"non-finite loss at step {step} of {plan.stage}; parameters "
+                    f"kept at their last finite state"
+                )
+            state.grad.fill(0.0)
+            backward(total, tape)
+            state.learning_rate = plan.schedule.at(state.t + 1)
+            adam_step(trainable, state.grads, state, group_of=labels.__getitem__)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        for t in trainable.values():
             t.grad = None
 
 

@@ -71,9 +71,9 @@ class TestSnapshot:
 
 class TestSerialization:
     def test_save_load_save_byte_identical(self, tiny, tmp_path):
-        state = AdamState(learning_rate=0.01)
-        grads = {n: np.full(t.shape, 0.1) for n, t in tiny.params.items()}
-        adam_step(tiny.params, grads, state)
+        state = AdamState(tiny.params, learning_rate=0.01)
+        state.grad.fill(0.1)
+        adam_step(tiny.params, state.grads, state)
         ckpt = cp.Checkpoint.from_model(
             tiny, provenance={"stage": "source_training", "steps": 1})
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from meladapt.autodiff import Tensor
+from meladapt import autodiff as ad
+from meladapt.autodiff import Tape, Tensor
 from meladapt.errors import NumericError, ShapeError
 from meladapt.optim import AdamState, LrSchedule, adam_step
 
 
-def make_state(lr=0.1):
-    return AdamState(learning_rate=lr)
+def step(params, grads, state, **kwargs):
+    """One `adam_step` with `grads` (name -> array) written into the arena."""
+    state.grad.fill(0.0)
+    for name, g in grads.items():
+        state.grads[name][...] = g
+    adam_step(params, state.grads, state, **kwargs)
 
 
 def test_zero_grad_is_noop():
     p = Tensor(np.array([1.0, -2.0, 3.0]))
-    adam_step({"w": p}, {"w": np.zeros(3)}, make_state())
+    state = AdamState({"w": p}, learning_rate=0.1)
+    step({"w": p}, {"w": np.zeros(3)}, state)
     np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
 
@@ -22,73 +28,166 @@ def test_single_step_closed_form():
     # frozen from a 50-digit evaluation of that expression
     expected_delta = 0.09999999990000007
     p = Tensor(np.array([0.0, 5.0]))
-    adam_step({"w": p}, {"w": np.ones(2)}, make_state(lr=0.1))
+    state = AdamState({"w": p}, learning_rate=0.1)
+    step({"w": p}, {"w": np.ones(2)}, state)
     np.testing.assert_allclose(p.data, [-expected_delta, 5.0 - expected_delta], rtol=1e-15)
 
 
 def test_two_steps_same_gradient_keep_moving():
     p = Tensor(np.array([0.0]))
-    state = make_state(lr=0.1)
-    adam_step({"w": p}, {"w": np.ones(1)}, state)
+    state = AdamState({"w": p}, learning_rate=0.1)
+    step({"w": p}, {"w": np.ones(1)}, state)
     after_one = p.data.copy()
-    adam_step({"w": p}, {"w": np.ones(1)}, state)
+    step({"w": p}, {"w": np.ones(1)}, state)
     assert p.data[0] < after_one[0] < 0.0
     assert state.t == 2
+
+
+def _per_tensor_adam(params, grads, state, m, v):
+    """The textbook update, one tensor at a time: the reference the arena's
+    whole-buffer passes must reproduce bit for bit."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for name, g in grads.items():
+        m[name] *= state.beta1
+        m[name] += (1.0 - state.beta1) * g
+        v[name] *= state.beta2
+        v[name] += (1.0 - state.beta2) * (g * g)
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        params[name].data -= state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
 
 
 def test_bitwise_determinism():
     def run():
         rng = np.random.default_rng(77)
         p = Tensor(rng.normal(size=(4, 3)))
-        state = make_state(lr=0.01)
+        state = AdamState({"w": p}, learning_rate=0.01)
         for _ in range(25):
-            adam_step({"w": p}, {"w": rng.normal(size=(4, 3))}, state)
+            step({"w": p}, {"w": rng.normal(size=(4, 3))}, state)
         return p.data
 
     a, b = run(), run()
     assert np.array_equal(a, b)
 
 
+def test_arena_matches_per_tensor_update_bitwise():
+    rng = np.random.default_rng(5)
+    shapes = {"w": (4, 3), "b": (3,), "s": (2, 1, 2)}
+    init = {n: rng.normal(size=sh) for n, sh in shapes.items()}
+    packed = {n: Tensor(a) for n, a in init.items()}
+    loose = {n: Tensor(a) for n, a in init.items()}
+    state = AdamState(packed, learning_rate=0.01)
+    ref = AdamState({}, learning_rate=0.01)
+    m = {n: np.zeros(sh) for n, sh in shapes.items()}
+    v = {n: np.zeros(sh) for n, sh in shapes.items()}
+    for _ in range(12):
+        grads = {n: rng.normal(size=sh) * rng.choice([0.0, 1e-8, 1.0, 1e3])
+                 for n, sh in shapes.items()}
+        step(packed, grads, state)
+        _per_tensor_adam(loose, grads, ref, m, v)
+    for n in shapes:
+        assert packed[n].data.tobytes() == loose[n].data.tobytes()
+    assert state.m.tobytes() == np.concatenate([m[n].ravel() for n in shapes]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v[n].ravel() for n in shapes]).tobytes()
+
+
 def test_state_buffers_track_parameters():
     p = Tensor(np.zeros((2, 2)))
     q = Tensor(np.zeros(3))
-    state = make_state()
-    adam_step({"w": p, "b": q}, {"w": np.ones((2, 2)), "b": np.ones(3)}, state)
-    assert set(state.m) == {"w", "b"}
-    assert state.m["w"].shape == (2, 2)
-    assert state.v["b"].shape == (3,)
+    params = {"w": p, "b": q}
+    state = AdamState(params)
+    step(params, {"w": np.ones((2, 2)), "b": np.ones(3)}, state)
+    assert state.m.shape == state.v.shape == (7,)
+    m, v = state.views(state.m), state.views(state.v)
+    assert list(m) == ["w", "b"]
+    assert m["w"].shape == (2, 2)
+    assert v["b"].shape == (3,)
+    # per-name views share the flat moments, laid out in the set's order
+    assert np.shares_memory(m["w"], state.m[:4]) and np.shares_memory(v["b"], state.v[4:])
+    assert np.all(state.m != 0.0) and np.all(state.v != 0.0)
+    # the tensors themselves read and write the parameter and gradient arenas
+    assert p.data.base is state.data and q.data.base is state.data
+    assert p.grad.base is state.grad and q.grad.base is state.grad
+    np.testing.assert_array_equal(state.data[:4], p.data.ravel())
 
 
 def test_nonfinite_gradient_aborts_before_mutation():
     p = Tensor(np.array([1.0, 2.0]))
     q = Tensor(np.array([3.0]))
-    state = make_state()
+    params = {"w": p, "b": q}
+    state = AdamState(params, learning_rate=0.1)
+    step(params, {"w": np.array([0.5, -0.25]), "b": np.array([1.0])}, state)
+    before = {n: t.data.copy() for n, t in params.items()}
+    m, v = state.m.copy(), state.v.copy()
     grads = {"w": np.array([0.1, np.nan]), "b": np.array([0.1])}
-    with pytest.raises(NumericError, match="w"):
-        adam_step({"w": p, "b": q}, grads, state, group_of=lambda n: "decoder")
-    # nothing was applied, t untouched
-    np.testing.assert_array_equal(p.data, [1.0, 2.0])
-    np.testing.assert_array_equal(q.data, [3.0])
+    with pytest.raises(NumericError, match="'w' \\(group decoder\\)"):
+        step(params, grads, state, group_of=lambda n: "decoder")
+    # nothing was applied: parameters, moments and t untouched
+    for n, t in params.items():
+        assert t.data.tobytes() == before[n].tobytes()
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    assert state.t == 1
+
+
+def test_nonfinite_error_names_first_offender_in_set_order():
+    # "w" comes first in the set, though not in sorted order
+    params = {"w": Tensor(np.zeros(2)), "b": Tensor(np.zeros(1))}
+    state = AdamState(params)
+    with pytest.raises(NumericError, match="'w'"):
+        step(params, {"w": np.array([0.0, np.inf]), "b": np.array([np.nan])}, state)
+    with pytest.raises(NumericError, match="'b'"):
+        step(params, {"w": np.zeros(2), "b": np.array([-np.inf])}, state)
     assert state.t == 0
+
+
+def test_unreached_parameter_gets_zero_update():
+    # `q` is trainable but the loss never reads it: backward leaves its
+    # arena slice at zero, and a first step moves it by exactly nothing
+    p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    q = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+    params = {"p": p, "q": q}
+    state = AdamState(params, learning_rate=0.1)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.smul(p, 2.0))
+    ad.backward(loss, tape)
+    np.testing.assert_array_equal(p.grad, [[2.0, 2.0]])
+    np.testing.assert_array_equal(q.grad, [[0.0, 0.0]])
+    adam_step(params, state.grads, state)
+    np.testing.assert_array_equal(q.data, [[3.0, 4.0]])
+    assert not np.array_equal(p.data, [[1.0, -2.0]])
+    assert np.all(state.views(state.m)["q"] == 0.0)
+    assert np.all(state.views(state.v)["q"] == 0.0)
 
 
 def test_nonfinite_error_names_group():
     p = Tensor(np.array([1.0]))
     with pytest.raises(NumericError, match="decoder"):
-        adam_step({"w": p}, {"w": np.array([np.inf])}, make_state(),
-                  group_of=lambda n: "decoder")
+        step({"w": p}, {"w": np.array([np.inf])}, AdamState({"w": p}),
+             group_of=lambda n: "decoder")
 
 
 def test_shape_mismatch_rejected():
+    # gradients come from the state's own arena views, whose shapes are the
+    # parameters'; any other mapping is refused
     p = Tensor(np.zeros(3))
+    state = AdamState({"w": p})
     with pytest.raises(ShapeError):
-        adam_step({"w": p}, {"w": np.zeros(4)}, make_state())
+        adam_step({"w": p}, {"w": np.zeros(4)}, state)
+    with pytest.raises(ShapeError):
+        adam_step({"w": p}, dict(state.grads), state)
+    assert state.t == 0
 
 
 def test_missing_grad_key_rejected():
-    p = Tensor(np.zeros(3))
+    p, q = Tensor(np.zeros(3)), Tensor(np.zeros(2))
+    state = AdamState({"w": p})
     with pytest.raises(ShapeError, match="w"):
-        adam_step({"w": p}, {}, make_state())
+        adam_step({}, state.grads, state)
+    with pytest.raises(ShapeError, match="x"):
+        adam_step({"w": p, "x": q}, state.grads, state)
+    assert state.t == 0
 
 
 class TestSchedule:

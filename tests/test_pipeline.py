@@ -1,4 +1,5 @@
 import csv
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -394,6 +395,115 @@ class TestFrozenCache:
         assert second_metrics == alone_metrics
         assert _ckpt_bytes(second, tmp_path / "s.ckpt") == \
             _ckpt_bytes(alone, tmp_path / "a.ckpt")
+
+
+class TestStageLoop:
+    # every stage and variant the arena test covers: name -> (run, loss builder)
+    STAGES = {
+        "source": (lambda c, s, a, r: pl.train_source(c, CFG, pl.source_plan(steps=2)),
+                   "_source_losses"),
+        "joint": (lambda c, s, a, r: pl.train_source(
+            c, CFG, pl.source_plan(steps=2, variant="joint_training")), "_source_losses"),
+        "align": (lambda c, s, a, r: pl.align_mel_encoder(s, c, pl.align_plan(steps=2)),
+                  "_align_losses"),
+        "adapt": (lambda c, s, a, r: pl.adapt_untranscribed(a, r, pl.adapt_plan(steps=2)),
+                  "_adapt_losses"),
+        "adapt_finetune": (lambda c, s, a, r: pl.adapt_untranscribed(
+            a, r, pl.adapt_plan(steps=2, variant="finetune_mel_encoder_and_decoder")),
+            "_adapt_losses"),
+    }
+
+    @staticmethod
+    def _check_arena(monkeypatch):
+        """Wrap `adam_step` so every call asserts that each trainable tensor's
+        `data` is still its own slice of the stage's parameter arena."""
+        calls = []
+        real = pl.adam_step
+
+        def checked(params, grads, state, **kwargs):
+            views = state.views(state.data)
+            for name, t in params.items():
+                view = views[name]
+                assert t.data.base is state.data, f"'{name}' detached from the arena"
+                assert t.data.__array_interface__ == view.__array_interface__, name
+                assert t.grad is grads[name]
+            calls.append(len(params))
+            return real(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(pl, "adam_step", checked)
+        return calls
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_trainable_tensors_stay_arena_views(self, stage, corpus, source_ckpt,
+                                                aligned_ckpt, adapt_records, monkeypatch):
+        calls = self._check_arena(monkeypatch)
+        run, _ = self.STAGES[stage]
+        run(corpus, source_ckpt, aligned_ckpt, adapt_records)
+        assert len(calls) == 2 and calls[0] > 0
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_rebinding_loss_fn_is_caught(self, stage, corpus, source_ckpt, aligned_ckpt,
+                                         adapt_records, monkeypatch):
+        run, builder = self.STAGES[stage]
+        real = getattr(pl, builder)
+
+        def rebinding(model, *args, **kwargs):
+            t = next(t for t in model.params.values() if t.requires_grad)
+            t.data = t.data.copy()
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(pl, builder, rebinding)
+        self._check_arena(monkeypatch)
+        with pytest.raises(AssertionError, match="detached"):
+            run(corpus, source_ckpt, aligned_ckpt, adapt_records)
+
+    def test_gradients_released_after_stage(self, corpus):
+        model = m.TtsModel(CFG, seed=0)
+        pl._run_stage(model, pl.source_plan(steps=1), corpus.train_split().utterances,
+                      lambda mdl, u, _: pl._source_losses(mdl, u), [])
+        assert all(t.grad is None for t in model.params.values())
+
+    @staticmethod
+    def _collector_seen(monkeypatch):
+        seen = []
+        real = pl.adam_step
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "adam_step", spy)
+        return seen
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_then_restored(self, enabled, corpus, monkeypatch):
+        seen = self._collector_seen(monkeypatch)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            pl.train_source(corpus, CFG, pl.source_plan(steps=2))
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+        assert after is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_restored_after_numeric_error(self, enabled, source_ckpt, corpus):
+        bad = cp.Checkpoint(
+            config=source_ckpt.config,
+            params={n: (np.full_like(a, 1e308) if n == "melenc.in.w" else a.copy())
+                    for n, a in source_ckpt.params.items()},
+            provenance=dict(source_ckpt.provenance))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with np.errstate(all="ignore"), pytest.raises(NumericError):
+                pl.align_mel_encoder(bad, corpus, pl.align_plan(steps=5))
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
 
 
 class TestSynthesize:

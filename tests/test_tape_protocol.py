@@ -140,3 +140,22 @@ def test_shared_parent_accumulates_in_listed_order(op, parts):
     for part in rest:
         expected += part
     assert np.array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_prezeroed_grad_buffer_is_filled_in_place(op):
+    """A parent whose grad is a zeroed buffer, as a stage's arena view is,
+    keeps that buffer and gets the copy path's gradient added into it: the
+    same bits, with -0.0 turned into +0.0."""
+    n = len(CASES[op]()[0])
+    parents, out, tape = _run(op, set(range(n)))
+    _backprop(out, tape)
+    expected = [p.grad + 0.0 for p in parents]
+    parents, out, tape = _run(op, set(range(n)))
+    buffers = [np.zeros(p.shape) for p in parents]
+    for p, buf in zip(parents, buffers):
+        p.grad = buf
+    _backprop(out, tape)
+    for p, buf, want in zip(parents, buffers, expected):
+        assert p.grad is buf
+        assert buf.tobytes() == want.tobytes()

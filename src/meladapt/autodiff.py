@@ -23,9 +23,9 @@ stage's gradient arena (`optim.AdamState`); then the first arrival adds into
 zeros in place instead of storing a copy. The sums are the same bits, except
 that 0.0 + (-0.0) is +0.0 where the copy kept -0.0. For Adam that sign never
 reaches an update: `m` and `v` start at +0.0, a float sum is -0.0 only when
-both terms are, and with beta1 > 0.5 a nonzero `m` never rounds to zero when
-scaled, so `m` and `v` never hold -0.0 and adding either zero to them gives
-the same value.
+both terms are, and with `optim.BETA1` > 0.5 a nonzero `m` never rounds to
+zero when scaled, so `m` and `v` never hold -0.0 and adding either zero to
+them gives the same value.
 
 One op may list the same parent in several pairs; each adds in its turn.
 The gradient functions of one record may share work through `_lazy`, which

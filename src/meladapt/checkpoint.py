@@ -17,10 +17,6 @@ class Checkpoint:
     params: dict                 # name -> float64 ndarray (owned copies)
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def stage(self):
-        return self.provenance.get("stage", "initialized")
-
     @classmethod
     def from_model(cls, model, provenance=None):
         return cls(

@@ -166,6 +166,8 @@ def cmd_adapt(args):
             f"{corpus_path} carries transcripts; adaptation consumes mel-only "
             f"records (strip-transcripts produces them)")
     records = [r for r in records if r.speaker_id == args.speaker]
+    if args.n_utts < 1:
+        raise ConfigError(f"--n-utts must be at least 1, got {args.n_utts}")
     if len(records) < args.n_utts:
         raise ConfigError(f"asked for {args.n_utts} utterances of speaker "
                           f"{args.speaker}, corpus holds {len(records)}")

@@ -30,13 +30,6 @@ class CorpusOpts:
 
 
 @dataclass(frozen=True)
-class AdamOpts:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-9
-
-
-@dataclass(frozen=True)
 class SourceOpts:
     steps: int = 2000
     batch_size: int = 4
@@ -74,7 +67,6 @@ class RunConfig:
     source: SourceOpts = field(default_factory=SourceOpts)
     align: AlignOpts = field(default_factory=AlignOpts)
     adapt: AdaptOpts = field(default_factory=AdaptOpts)
-    adam: AdamOpts = field(default_factory=AdamOpts)
 
     def __post_init__(self):
         if self.oracle.phoneme_vocab_size != self.model.phoneme_vocab_size:
@@ -95,25 +87,19 @@ class RunConfig:
         if self.corpus.utts_per_speaker < 1 or self.corpus.n_adapt_speakers < 0:
             raise ConfigError("corpus sizes must be positive")
 
-    def _adam_kwargs(self):
-        return dict(adam_beta1=self.adam.beta1, adam_beta2=self.adam.beta2,
-                    adam_epsilon=self.adam.epsilon)
-
     def source_plan(self, variant="main"):
         o = self.source
         return pipeline.source_plan(
             steps=o.steps, batch_size=o.batch_size, seed=o.seed,
             peak_scale=o.peak_scale, warmup=o.warmup,
-            alignment_weight=o.alignment_weight, variant=variant,
-            **self._adam_kwargs())
+            alignment_weight=o.alignment_weight, variant=variant)
 
     def align_plan(self, variant="main"):
         o = self.align
         return pipeline.align_plan(
             steps=o.steps, batch_size=o.batch_size, seed=o.seed,
             learning_rate=o.learning_rate,
-            alignment_weight=o.alignment_weight, variant=variant,
-            **self._adam_kwargs())
+            alignment_weight=o.alignment_weight, variant=variant)
 
     def adapt_plan(self, variant="main", steps=None, seed=None):
         o = self.adapt
@@ -122,8 +108,7 @@ class RunConfig:
             batch_size=o.batch_size,
             seed=o.seed if seed is None else seed,
             learning_rate=o.learning_rate,
-            adapt_speaker_row=o.adapt_speaker_row, variant=variant,
-            **self._adam_kwargs())
+            adapt_speaker_row=o.adapt_speaker_row, variant=variant)
 
     def adapt_speaker_ids(self):
         """Speaker ids held out of source training, after the source block."""
@@ -138,7 +123,6 @@ _SECTIONS = {
     "source": SourceOpts,
     "align": AlignOpts,
     "adapt": AdaptOpts,
-    "adam": AdamOpts,
 }
 
 

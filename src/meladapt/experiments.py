@@ -185,6 +185,8 @@ class ExperimentResult:
 def run_experiment(recipe, cfg, seed=0, out_dir=None) -> ExperimentResult:
     if recipe not in RECIPES:
         raise ConfigError(f"unknown recipe '{recipe}' (choose from {RECIPES})")
+    if seed < 0:
+        raise ConfigError(f"experiment seed must be non-negative, got {seed}")
     bench = Workbench(cfg, seed)
     if recipe == "data-sweep":
         result = _run_sweep(bench)

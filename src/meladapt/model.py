@@ -225,12 +225,6 @@ class TtsModel:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def groups(self) -> dict:
-        out = {g: [] for g in GROUPS}
-        for name, group in param_groups(self.config).items():
-            out[group].append(name)
-        return out
-
     def set_trainable(self, groups):
         """Restrict requires_grad to the given group labels (exactly)."""
         unknown = set(groups) - set(GROUPS)

@@ -23,9 +23,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 
+# FastSpeech 2's Adam setting (arXiv 2006.04558). BETA1 > 0.5 also keeps the
+# arena's moments free of -0.0 (see `autodiff`'s module docstring).
+BETA1 = 0.9
+BETA2 = 0.98
+EPSILON = 1e-9
+
 
 class AdamState:
-    """Adam's hyperparameters, step counter and arenas for one trainable set.
+    """Adam's learning rate, step counter and arenas for one trainable set.
 
     `t` increases by exactly 1 per applied step. `learning_rate` is the rate
     for the NEXT step; training loops overwrite it from a schedule before
@@ -34,12 +40,8 @@ class AdamState:
     `grads` holds the gradient views that `backward` fills.
     """
 
-    def __init__(self, params, learning_rate=1e-4, beta1=0.9, beta2=0.98,
-                 epsilon=1e-9):
+    def __init__(self, params, learning_rate=1e-4):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self._slices = {}
         end = 0
@@ -85,7 +87,7 @@ def adam_step(params, grads, state, group_of=None):
         raise NumericError(f"non-finite gradient for parameter '{name}'{group}")
     state.t += 1
     t = state.t
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     m, v, s = state.m, state.v, state._scratch
     # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
     m *= b1
@@ -100,7 +102,7 @@ def adam_step(params, grads, state, group_of=None):
     s *= state.learning_rate
     np.divide(v, 1.0 - b2 ** t, out=g)
     np.sqrt(g, out=g)
-    g += state.epsilon
+    g += EPSILON
     s /= g
     state.data -= s
 

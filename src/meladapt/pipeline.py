@@ -52,9 +52,6 @@ class StagePlan:
     loss_weights: tuple = ()          # ((name, weight), ...), order fixed
     variant: str = "main"
     adapt_speaker_row: bool = True    # adaptation only
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_epsilon: float = 1e-9
 
     def __post_init__(self):
         if self.stage not in TRAINS:
@@ -79,36 +76,36 @@ class StagePlan:
 
 
 def source_plan(steps=2000, batch_size=4, seed=0, variant="main",
-                peak_scale=0.02, warmup=100, alignment_weight=1.0, **adam):
+                peak_scale=0.02, warmup=100, alignment_weight=1.0):
     weights = (("mel", 1.0), ("duration", 1.0), ("pitch", 1.0), ("acoustic", 1.0))
     if variant == "joint_training":
         weights += (("alignment", alignment_weight), ("reconstruction", 1.0))
     return StagePlan(
         stage=STAGE_SOURCE, steps=steps, batch_size=batch_size, seed=seed,
         schedule=LrSchedule(kind="inverse_sqrt", value=peak_scale, warmup=warmup),
-        loss_weights=weights, variant=variant, **adam,
+        loss_weights=weights, variant=variant,
     )
 
 
 def align_plan(steps=500, batch_size=4, seed=1, learning_rate=1e-3,
-               alignment_weight=1.0, variant="main", **adam):
+               alignment_weight=1.0, variant="main"):
     if variant == "no_l2":
         alignment_weight = 0.0
     return StagePlan(
         stage=STAGE_ALIGN, steps=steps, batch_size=batch_size, seed=seed,
         schedule=LrSchedule(kind="constant", value=learning_rate),
         loss_weights=(("reconstruction", 1.0), ("alignment", alignment_weight)),
-        variant=variant, **adam,
+        variant=variant,
     )
 
 
 def adapt_plan(steps=200, batch_size=4, seed=2, learning_rate=1e-3,
-               adapt_speaker_row=True, variant="main", **adam):
+               adapt_speaker_row=True, variant="main"):
     return StagePlan(
         stage=STAGE_ADAPT, steps=steps, batch_size=batch_size, seed=seed,
         schedule=LrSchedule(kind="constant", value=learning_rate),
         loss_weights=(("reconstruction", 1.0),),
-        variant=variant, adapt_speaker_row=adapt_speaker_row, **adam,
+        variant=variant, adapt_speaker_row=adapt_speaker_row,
     )
 
 
@@ -131,9 +128,7 @@ def _run_stage(model, plan, items, loss_fn, metrics):
     trainable = model.trainable_params()
     if not trainable:
         raise ConfigError(f"stage {plan.stage} trains no parameters")
-    state = AdamState(trainable, learning_rate=plan.schedule.value,
-                      beta1=plan.adam_beta1, beta2=plan.adam_beta2,
-                      epsilon=plan.adam_epsilon)
+    state = AdamState(trainable)
     weights = plan.weights()
     labels = mm.param_groups(model.config)
     rng = np.random.default_rng(plan.seed)

@@ -98,11 +98,13 @@ class TestPipelineCommands:
         assert "transcript" in err
         assert not (workdir / "never.ckpt").exists()
 
-    def test_adapt_rejects_oversized_request(self, workdir):
+    @pytest.mark.parametrize("n_utts", ["999", "-3"])
+    def test_adapt_rejects_oversized_request(self, workdir, n_utts):
         code = cli.main(["adapt", "--ckpt", str(workdir / "aligned.ckpt"),
                          "--corpus", str(workdir / "data"), "--speaker", "3",
-                         "--n-utts", "999", "--out", str(workdir / "never.ckpt")])
+                         "--n-utts", n_utts, "--out", str(workdir / "never.ckpt")])
         assert code == 2
+        assert not (workdir / "never.ckpt").exists()
 
     def test_synthesize_writes_mel_container(self, workdir, tmp_path):
         text = tmp_path / "text.txt"
@@ -151,6 +153,13 @@ class TestExitCodes:
     def test_missing_config_is_exit_2(self, tmp_path):
         assert cli.main(["gen-corpus", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path / "d")]) == 2
+
+    def test_negative_experiment_seed_is_exit_2(self, tmp_path, capsys):
+        code = cli.main(["experiment", "--recipe", "main", "--seed", "-1",
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_checkpoint_file_is_exit_5(self, tmp_path, workdir):
         code = cli.main(["synthesize", "--ckpt", str(tmp_path / "nope.ckpt"),

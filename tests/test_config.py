@@ -75,19 +75,17 @@ def test_shipped_full_scale_config():
     assert cfg.model.ffn_filter == 1024
     assert cfg.model.conv_kernel == 9
     assert cfg.model.mel_dim == 80
-    assert cfg.adam.beta1 == 0.9
-    assert cfg.adam.beta2 == 0.98
-    assert cfg.adam.epsilon == 1e-9
     assert (cfg.source.steps, cfg.align.steps, cfg.adapt.steps) == (
         100000, 10000, 2000)
 
 
-def test_plan_builders_thread_adam_settings(tmp_path):
+def test_adam_section_rejected_and_plan_overrides_apply(tmp_path):
+    # Adam's betas and epsilon are constants in `optim`, not settings
     p = tmp_path / "c.cfg"
     p.write_text("[adam]\nbeta2 = 0.95\n")
-    cfg = cf.load_config(p)
-    for plan in (cfg.source_plan(), cfg.align_plan(), cfg.adapt_plan()):
-        assert plan.adam_beta2 == 0.95
+    with pytest.raises(ConfigError, match=r"unknown config section \[adam\]"):
+        cf.load_config(p)
+    cfg = cf.desk_config()
     assert cfg.adapt_plan(steps=5, seed=9).steps == 5
     assert cfg.adapt_plan(steps=5, seed=9).seed == 9
 

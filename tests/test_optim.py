@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meladapt import autodiff as ad
+from meladapt import optim
 from meladapt.autodiff import Tape, Tensor
 from meladapt.errors import NumericError, ShapeError
 from meladapt.optim import AdamState, LrSchedule, adam_step
@@ -46,17 +47,26 @@ def test_two_steps_same_gradient_keep_moving():
 def _per_tensor_adam(params, grads, state, m, v):
     """The textbook update, one tensor at a time: the reference the arena's
     whole-buffer passes must reproduce bit for bit."""
+    b1, b2 = optim.BETA1, optim.BETA2
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
     for name, g in grads.items():
-        m[name] *= state.beta1
-        m[name] += (1.0 - state.beta1) * g
-        v[name] *= state.beta2
-        v[name] += (1.0 - state.beta2) * (g * g)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
         mhat = m[name] / bc1
         vhat = v[name] / bc2
-        params[name].data -= state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
+        params[name].data -= state.learning_rate * mhat / (np.sqrt(vhat) + optim.EPSILON)
+
+
+def test_betas_keep_bias_correction_and_signed_zero_argument():
+    # 1 - beta**t must stay nonzero, and `autodiff`'s claim that the moments
+    # never hold -0.0 needs BETA1 > 0.5
+    assert 0.5 < optim.BETA1 < 1
+    assert 0 < optim.BETA2 < 1
+    assert optim.EPSILON > 0
 
 
 def test_bitwise_determinism():

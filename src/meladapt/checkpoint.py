@@ -13,9 +13,16 @@ CKPT_VERSION = 1
 
 @dataclass
 class Checkpoint:
+    """An immutable snapshot: every array in `params` is made read-only on
+    construction, so models built by `to_model` share them without a copy."""
+
     config: ModelConfig
-    params: dict                 # name -> float64 ndarray (owned copies)
+    params: dict                 # name -> read-only float64 ndarray
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for arr in self.params.values():
+            arr.setflags(write=False)
 
     @classmethod
     def from_model(cls, model, provenance=None):
@@ -26,6 +33,8 @@ class Checkpoint:
         )
 
     def to_model(self) -> TtsModel:
+        """A model whose parameters share this checkpoint's read-only arrays;
+        a stage's trainable set moves into Adam's arenas when it starts."""
         _check_registry(self.config, self.params, "checkpoint")
         return TtsModel.from_arrays(self.config, self.params)
 

@@ -213,13 +213,15 @@ class TtsModel:
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict) -> "TtsModel":
-        """Model over copies of `arrays` (name -> ndarray), in registry order.
+        """Model over `arrays` (name -> float64 ndarray), in registry order.
 
-        Draws no initialisation; names and shapes are the caller's to check.
+        Each parameter wraps its array without a copy, so a read-only array
+        (a checkpoint's) raises `ValueError` on any write to it. Draws no
+        initialisation; names, shapes and dtypes are the caller's to check.
         """
         model = cls.__new__(cls)
         model.config = config
-        model.params = {name: Tensor(np.array(arrays[name]), requires_grad=True)
+        model.params = {name: Tensor(arrays[name], requires_grad=True)
                         for name in param_shapes(config)}
         return model
 
@@ -239,13 +241,18 @@ class TtsModel:
         return {n: t for n, t in self.params.items() if t.requires_grad}
 
     def speaker_context(self, speaker_id: int) -> SpeakerContext:
-        table = self.params["speaker_table"]
-        if not 0 <= speaker_id < table.shape[0]:
-            raise ConfigError(
-                f"speaker id {speaker_id} outside table of {table.shape[0]} rows"
-            )
-        emb = ad.gather_rows(table, np.array([speaker_id]))
+        check_speaker_id(speaker_id, self.config.n_speakers)
+        emb = ad.gather_rows(self.params["speaker_table"], np.array([speaker_id]))
         return SpeakerContext(speaker_id, emb)
+
+
+def check_speaker_id(speaker_id, n_speakers):
+    """Raise ConfigError unless `speaker_id` is an integer (not a bool) that
+    names one of `n_speakers` table rows."""
+    if not isinstance(speaker_id, (int, np.integer)) or isinstance(speaker_id, bool):
+        raise ConfigError(f"speaker id must be an integer, got {speaker_id!r}")
+    if not 0 <= speaker_id < n_speakers:
+        raise ConfigError(f"speaker id {speaker_id} outside table of {n_speakers} rows")
 
 
 # -- sub-ops ---------------------------------------------------------------
@@ -294,6 +301,9 @@ def encode_phonemes(model, phoneme_ids) -> Tensor:
     ids = np.asarray(phoneme_ids)
     if ids.size == 0:
         raise ConfigError("empty phoneme sequence")
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ConfigError(f"phoneme ids must be a 1-d integer sequence, got "
+                          f"{ids.dtype} of shape {ids.shape}")
     h = ad.embedding(model.params["phoneme_embed"], ids)
     h = ad.add(h, Tensor(positional_encoding(ids.size, model.config.hidden_dim)))
     for i in range(model.config.n_encoder_blocks):

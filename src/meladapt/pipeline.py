@@ -119,6 +119,8 @@ def _run_stage(model, plan, items, loss_fn, metrics):
     Metrics for a step are recorded before its update, so step 0 describes
     the incoming model exactly. The trainable set is packed into one Adam
     arena for the stage; `loss_fn` must not rebind a parameter's `data`.
+    A frozen parameter of a model built by `Checkpoint.to_model` is the
+    checkpoint's read-only array, so writing into it raises `ValueError`.
     The cyclic garbage collector is paused for the steps, since tape records
     hold no reference cycles, and the caller's setting is restored.
     """
@@ -330,17 +332,16 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
     target = speakers[0]
 
     if plan.steps == 0:
-        return Checkpoint(
-            config=aligned_ckpt.config,
-            params={n: a.copy() for n, a in aligned_ckpt.params.items()},
-            provenance=dict(aligned_ckpt.provenance),
-        ), []
+        return Checkpoint(config=aligned_ckpt.config, params=dict(aligned_ckpt.params),
+                          provenance=dict(aligned_ckpt.provenance)), []
 
     model = aligned_ckpt.to_model()
     trained = set(aligned_ckpt.provenance.get("trained_speakers", []))
     if plan.adapt_speaker_row and trained and target not in trained:
-        table = model.params["speaker_table"].data
+        # a filled copy: the model shares the checkpoint's read-only table
+        table = aligned_ckpt.params["speaker_table"].copy()
         table[target] = _zero_shot_row(table, trained)
+        model.params["speaker_table"] = Tensor(table, requires_grad=True)
 
     seen_fields = set()
     audited = [_AuditedRecord(r, seen_fields) for r in records]
@@ -373,12 +374,9 @@ def synthesize(ckpt, phonemes, speaker_id) -> np.ndarray:
     """Transcript-only inference: durations, pitch, and acoustic conditions
     all predicted. A speaker the checkpoint never trained falls back to the
     mean of the trained speaker rows (zero-shot baseline)."""
+    mm.check_speaker_id(speaker_id, ckpt.config.n_speakers)
     model = ckpt.to_model()
     trained = set(ckpt.provenance.get("trained_speakers", []))
-    if not 0 <= speaker_id < model.config.n_speakers:
-        raise ConfigError(
-            f"speaker id {speaker_id} outside table of {model.config.n_speakers} rows"
-        )
     if trained and speaker_id not in trained:
         mean_row = _zero_shot_row(model.params["speaker_table"].data, trained)
         spk = mm.SpeakerContext(speaker_id, Tensor(mean_row[None, :]))

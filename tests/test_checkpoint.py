@@ -47,14 +47,44 @@ class TestSnapshot:
         with pytest.raises(CheckpointFormatError, match="registry expects"):
             ckpt.to_model()
 
-    def test_to_model_copies_in_registry_order(self, tiny):
+    def test_to_model_shares_in_registry_order(self, tiny):
         ckpt = snap(tiny)
         ckpt.params = dict(reversed(list(ckpt.params.items())))
+        before = ckpt.params["mel_out.b"].copy()
         rebuilt = ckpt.to_model()
         assert list(rebuilt.params) == list(tiny.params)
         assert all(t.requires_grad for t in rebuilt.params.values())
-        rebuilt.params["mel_out.b"].data[:] = 5.0
-        assert not np.any(ckpt.params["mel_out.b"] == 5.0)
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt.params["mel_out.b"].data[:] = 5.0
+        assert np.array_equal(ckpt.params["mel_out.b"], before)
+
+    def test_to_model_shares_every_array(self, tiny):
+        ckpt = snap(tiny)
+        rebuilt = ckpt.to_model()
+        for name, arr in ckpt.params.items():
+            assert np.shares_memory(rebuilt.params[name].data, arr), name
+
+    @pytest.mark.parametrize("source", ["from_model", "load", "hand_built"])
+    def test_checkpoint_arrays_are_read_only(self, tiny, tmp_path, source):
+        if source == "from_model":
+            ckpt = snap(tiny)
+        elif source == "load":
+            cp.save_checkpoint(snap(tiny), tmp_path / "c.ckpt")
+            ckpt = cp.load_checkpoint(tmp_path / "c.ckpt")
+        else:
+            ckpt = cp.Checkpoint(config=TINY, params={
+                n: t.data.copy() for n, t in tiny.params.items()})
+        assert not any(a.flags.writeable for a in ckpt.params.values())
+
+    def test_write_to_frozen_parameter_raises(self, tiny):
+        ckpt = snap(tiny)
+        model = ckpt.to_model()
+        model.set_trainable({"MelEncoder"})
+        frozen = model.params["mel_out.b"]
+        assert not frozen.requires_grad
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.data += 1.0
+        assert np.array_equal(ckpt.params["mel_out.b"], tiny.params["mel_out.b"].data)
 
     def test_loading_draws_no_random_model(self, tiny, tmp_path, monkeypatch):
         path = tmp_path / "c.ckpt"

@@ -1,3 +1,4 @@
+import copy
 import csv
 import gc
 from dataclasses import replace
@@ -289,6 +290,49 @@ class TestAdaptUntranscribed:
 # align builds both of its losses from one mel-encoder latent
 
 
+class TestInputCheckpointUntouched:
+    """Stages read their input checkpoint and never write into it. Each test
+    runs on its own copy of a fixture, so an earlier test's write (the same
+    zero-shot row, say) cannot hide this one's."""
+
+    @staticmethod
+    def _own(ckpt):
+        return cp.Checkpoint(config=ckpt.config,
+                             params={n: a.copy() for n, a in ckpt.params.items()},
+                             provenance=copy.deepcopy(ckpt.provenance))
+
+    @staticmethod
+    def _assert_untouched(ckpt, run):
+        before = copy.deepcopy(ckpt.params)
+        out = run()
+        assert ckpt.params.keys() == before.keys()
+        for name, arr in before.items():
+            assert np.array_equal(ckpt.params[name], arr), name
+        return out
+
+    def test_align(self, source_ckpt, corpus):
+        ckpt = self._own(source_ckpt)
+        self._assert_untouched(ckpt, lambda: pl.align_mel_encoder(
+            ckpt, corpus, pl.align_plan(steps=3, seed=1)))
+
+    def test_adapt_zero_shot_row(self, aligned_ckpt, adapt_records):
+        ckpt = self._own(aligned_ckpt)
+        plan = pl.adapt_plan(steps=3, seed=2)
+        target = adapt_records[0].speaker_id
+        trained = ckpt.provenance["trained_speakers"]
+        table = ckpt.params["speaker_table"]
+        assert plan.adapt_speaker_row and target not in trained
+        assert not np.array_equal(table[target], pl._zero_shot_row(table, trained))
+        out, _ = self._assert_untouched(ckpt, lambda: pl.adapt_untranscribed(
+            ckpt, adapt_records, plan))
+        assert not np.array_equal(out.params["speaker_table"][target], table[target])
+
+    def test_adapt_zero_steps(self, aligned_ckpt, adapt_records):
+        ckpt = self._own(aligned_ckpt)
+        self._assert_untouched(ckpt, lambda: pl.adapt_untranscribed(
+            ckpt, adapt_records, pl.adapt_plan(steps=0)))
+
+
 def _uncached_align(model, utt, key, cache):
     mel = Tensor(utt.mel)
     spk = model.speaker_context(utt.speaker_id)
@@ -505,6 +549,31 @@ class TestStageLoop:
             (gc.enable if was else gc.disable)()
         assert after is enabled
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("stage", ["align", "adapt", "adapt_finetune"])
+    def test_write_to_frozen_parameter_raises(self, stage, enabled, corpus, source_ckpt,
+                                              aligned_ckpt, adapt_records, monkeypatch):
+        # frozen tensors share the input checkpoint's read-only arrays, so the
+        # write fails where it happens, before any freeze audit
+        run, builder = self.STAGES[stage]
+        real = getattr(pl, builder)
+
+        def writing(model, *args, **kwargs):
+            t = next(t for t in model.params.values() if not t.requires_grad)
+            t.data[...] = 0.0
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(pl, builder, writing)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(ValueError, match="read-only"):
+                run(corpus, source_ckpt, aligned_ckpt, adapt_records)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+
 
 class TestSynthesize:
     def test_deterministic(self, aligned_ckpt):
@@ -522,6 +591,26 @@ class TestSynthesize:
     def test_unknown_speaker_id_rejected(self, aligned_ckpt):
         with pytest.raises(ConfigError):
             pl.synthesize(aligned_ckpt, [0, 1], 7)
+
+    @pytest.mark.parametrize("phonemes", [[0.5, 1], [True, False], np.array([[1, 2]])],
+                             ids=["float", "bool", "2d"])
+    def test_phonemes_must_be_1d_integers(self, aligned_ckpt, phonemes):
+        with pytest.raises(ConfigError, match="1-d integer") as e:
+            pl.synthesize(aligned_ckpt, phonemes, 0)
+        assert e.value.exit_code == 2
+
+    @pytest.mark.parametrize("speaker", [1.0, True, np.float64(1.0), np.True_, "1"],
+                             ids=["float", "bool", "np-float", "np-bool", "str"])
+    def test_speaker_must_be_an_integer(self, aligned_ckpt, speaker):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            pl.synthesize(aligned_ckpt, [0, 1], speaker)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            aligned_ckpt.to_model().speaker_context(speaker)
+
+    def test_numpy_integer_speaker_accepted(self, aligned_ckpt):
+        assert np.array_equal(pl.synthesize(aligned_ckpt, np.array([0, 1], np.int32),
+                                            np.int64(1)),
+                              pl.synthesize(aligned_ckpt, [0, 1], 1))
 
     def test_untrained_speaker_uses_mean_row(self, aligned_ckpt):
         # speaker 3 never trained: must not depend on its random table row

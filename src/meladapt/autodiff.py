@@ -7,13 +7,23 @@ seeds the scalar loss gradient and replays the records in exact reverse
 execution order, accumulating additively into every `requires_grad`
 ancestor.
 
+A training step's memory is its tape, so a record keeps only what its
+gradient functions read. `conv1d` keeps its input, not the k-fold unfolded
+copy its forward pass multiplies; its kernel gradient unfolds the input
+again. A tape is replayed once: `backward` pops each record as it replays
+it and clears that record's output gradient, so every intermediate array
+and gradient is freed as soon as the replay has passed it, and the tape is
+empty afterwards. Only tensors that no record produced, the leaves, keep
+their gradients.
+
 Every op states three things: its checks, its forward value, and one
 gradient function per parent. It hands the value and the `(parent, grad_fn)`
 pairs to `_op`, and `_op` and `backward` together are the tape protocol:
 - the output tracks iff a tape is active and some parent tracks;
 - a tracking output appends exactly one record, `(output, pairs)`, to the
   innermost tape;
-- replaying a record does nothing when the output got no gradient `g`;
+- replay pops the record and resets its output's `grad` to None; it does
+  nothing more when that output got no gradient `g`;
 - otherwise it calls `grad_fn(g)` for each tracking parent, in the order the
   op lists them, and adds the result into that parent's `grad`. A frozen
   parent's gradient is never computed and its `grad` stays None.
@@ -86,12 +96,14 @@ class Tape:
 
     Use as a context manager; ops executed inside append their backward
     records here. Nesting pushes/pops a stack, innermost tape records.
+    `backward` consumes the tape: it can be replayed once.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "_replayed")
 
     def __init__(self):
         self._records = []
+        self._replayed = False
 
     def __enter__(self):
         _ACTIVE_TAPES.append(self)
@@ -133,12 +145,24 @@ def backward(loss, tape, seed=1.0):
     A parent whose grad is None stores its first gradient as a copy; every
     other arrival, including the first into a pre-zeroed buffer, is added in
     place.
+
+    Each record is popped before it is replayed and its output's grad is
+    reset to None, so the record, its saved arrays and that gradient are
+    freed as the replay moves on. Afterwards the tape is empty, only leaves
+    (tensors no record of it produced) hold gradients, and a second
+    `backward` on it raises `RuntimeError`.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape._replayed:
+        raise RuntimeError("this tape was already replayed by backward; "
+                           "record the graph again on a new tape")
+    tape._replayed = True
     loss.grad = np.float64(seed)
-    for out, pairs in reversed(tape._records):
-        g = out.grad
+    records = tape._records
+    while records:
+        out, pairs = records.pop()
+        g, out.grad = out.grad, None
         if g is None:
             continue
         for parent, grad_fn in pairs:
@@ -290,7 +314,10 @@ def _window_rows(t, k):
 def conv1d(a, kernel, bias=None):
     """Same-padded 1-D convolution over time: (T, d_in) x (k, d_in, d_out) -> (T, d_out).
 
-    Borders are zero-padded; k must be odd so the padding is symmetric.
+    Borders are zero-padded; k must be odd so the padding is symmetric. The
+    record holds the input and no k-fold unfolded copy of it: the kernel
+    gradient, computed only when the kernel trains, unfolds `a.data` again
+    into the same bits.
     """
     if kernel.ndim != 3:
         raise ShapeError(f"conv1d kernel must be (k, d_in, d_out), got {kernel.shape}")
@@ -303,23 +330,27 @@ def conv1d(a, kernel, bias=None):
         raise ShapeError(f"conv1d bias shape {bias.shape} != ({d_out},)")
     t = a.shape[0]
     pad = k // 2
-    padded = np.zeros((t + 2 * pad, d_in))
-    padded[pad:pad + t] = a.data
-    # windows laid out (T, k, d_in) then flattened to match kernel.reshape(k*d_in, d_out)
-    unfolded = padded[_window_rows(t, k)].reshape(t, k * d_in)
     w2 = kernel.data.reshape(k * d_in, d_out)
-    y = unfolded @ w2
+
+    def unfold():
+        """The (T, k * d_in) windows of the zero-padded input, laid out
+        (T, k, d_in) and flattened to match w2's rows."""
+        padded = np.zeros((t + 2 * pad, d_in))
+        padded[pad:pad + t] = a.data
+        return padded[_window_rows(t, k)].reshape(t, k * d_in)
+
+    y = unfold() @ w2
     if bias is not None:
         y = y + bias.data
 
     def grad_a(g):
         gu = (g @ w2.T).reshape(t, k, d_in)
-        gp = np.zeros_like(padded)
+        gp = np.zeros((t + 2 * pad, d_in))
         for j in range(k):
             gp[j:j + t] += gu[:, j, :]
         return gp[pad:pad + t]
 
-    pairs = [(kernel, lambda g: (unfolded.T @ g).reshape(k, d_in, d_out)), (a, grad_a)]
+    pairs = [(kernel, lambda g: (unfold().T @ g).reshape(k, d_in, d_out)), (a, grad_a)]
     if bias is not None:
         pairs.append((bias, lambda g: g.sum(axis=0)))
     return _op(y, *pairs)

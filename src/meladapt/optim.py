@@ -1,14 +1,20 @@
 """Adam with bias correction over flat arenas, plus the learning-rate schedules.
 
 `AdamState(params)` packs one trainable set, a {name: Tensor} dict, into
-float64 arenas in the dict's order: the parameters, their gradients, Adam's
-moments `m` and `v`, and one scratch buffer. Each tensor's `data` and `grad`
-become reshaped views of the first two, so ops read the arena, `backward`
-adds gradients into it in place, and one `adam_step` is a fixed number of
-whole-arena ufunc passes however many tensors the set holds. The passes are
-elementwise and keep the textbook operand order, `(1-b2)*(g*g)` and
-`(lr*mhat)/(sqrt(vhat)+eps)`, so the result equals a tensor-by-tensor update
-bit for bit.
+float64 arenas in the dict's order: the parameters, their gradients, and
+Adam's moments `m` and `v`. Each tensor's `data` and `grad` become reshaped
+views of the first two, so ops read the arena, `backward` adds gradients
+into it in place, and one `adam_step` is a fixed number of ufunc passes
+however many tensors the set holds. The passes are elementwise and keep the
+textbook operand order, `(1-b2)*(g*g)` and `(lr*mhat)/(sqrt(vhat)+eps)`, so
+the result equals a tensor-by-tensor update bit for bit.
+
+`adam_step` runs all of its passes over one chunk of `ADAM_CHUNK` elements
+of the arenas before it moves to the next, so its scratch buffer is one
+chunk long whatever the set's size, and a chunk's slices of the five arrays
+it touches stay in cache from the first pass to the last. The last chunk
+may be shorter. Elementwise passes give the same bits however the arena is
+cut.
 
 A packed tensor must be written into, never rebound (`t.data[...] = x`, not
 `t.data = x`): a rebound tensor is detached, and later steps update the
@@ -17,6 +23,7 @@ arena without it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,9 @@ from .errors import ConfigError, NumericError, ShapeError
 BETA1 = 0.9
 BETA2 = 0.98
 EPSILON = 1e-9
+
+# elements per chunk of `adam_step`'s passes: a 256 KB float64 scratch buffer
+ADAM_CHUNK = 32768
 
 
 class AdamState:
@@ -52,7 +62,7 @@ class AdamState:
         self.grad = np.zeros(end)
         self.m = np.zeros(end)
         self.v = np.zeros(end)
-        self._scratch = np.empty(end)
+        self._scratch = np.empty(min(end, ADAM_CHUNK))
         data, self.grads = self.views(self.data), self.views(self.grad)
         for name, t in params.items():
             data[name][...] = t.data
@@ -86,31 +96,35 @@ def adam_step(params, grads, state, group_of=None):
         group = f" (group {group_of(name)})" if group_of else ""
         raise NumericError(f"non-finite gradient for parameter '{name}'{group}")
     state.t += 1
-    t = state.t
-    b1, b2 = BETA1, BETA2
-    m, v, s = state.m, state.v, state._scratch
-    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=s)
-    m += s
-    v *= b2
-    np.multiply(g, g, out=s)
-    s *= 1.0 - b2
-    v += s
-    # data -= (lr*mhat) / (sqrt(vhat) + eps), with vhat built in g's place
-    np.divide(m, 1.0 - b1 ** t, out=s)
-    s *= state.learning_rate
-    np.divide(v, 1.0 - b2 ** t, out=g)
-    np.sqrt(g, out=g)
-    g += EPSILON
-    s /= g
-    state.data -= s
+    b1, b2, lr = BETA1, BETA2, state.learning_rate
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for lo in range(0, g.size, ADAM_CHUNK):
+        hi = lo + ADAM_CHUNK
+        gc, m, v, data = g[lo:hi], state.m[lo:hi], state.v[lo:hi], state.data[lo:hi]
+        s = state._scratch[:gc.size]
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        m *= b1
+        np.multiply(gc, 1.0 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(gc, gc, out=s)
+        s *= 1.0 - b2
+        v += s
+        # data -= (lr*mhat) / (sqrt(vhat) + eps), with vhat built in g's place
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=gc)
+        np.sqrt(gc, out=gc)
+        gc += EPSILON
+        s /= gc
+        data -= s
 
 
 @dataclass(frozen=True)
 class LrSchedule:
     """`constant` holds `value`; `inverse_sqrt` ramps linearly over `warmup`
-    steps to value/sqrt(warmup) and then decays as value/sqrt(step)."""
+    steps to value/sqrt(warmup) and then decays as value/sqrt(step).
+    `value` must be finite and not negative; zero is allowed."""
 
     kind: str = "constant"
     value: float = 1e-4
@@ -119,6 +133,8 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "inverse_sqrt"):
             raise ConfigError(f"unknown lr schedule kind '{self.kind}'")
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.value}")
         if self.kind == "inverse_sqrt" and self.warmup < 1:
             raise ConfigError("inverse_sqrt schedule needs warmup >= 1")
 

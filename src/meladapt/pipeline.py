@@ -289,10 +289,14 @@ def train_source(corpus, config, plan):
         "seed": plan.seed, "trained_speakers": speakers,
         "corpus_hash": corpus_hash(corpus),
     }
+    # the audit's snapshot wraps the initial arrays: `_run_stage` moves the
+    # trainable set into Adam's arenas, and the checkpoint makes every
+    # array read-only, so nothing writes into them again
+    before = Checkpoint(config, {n: t.data for n, t in model.params.items()})
     joint = plan.variant == "joint_training"
     return _train(model, plan, train.utterances,
                   lambda m, u, _: _source_losses(m, u, with_alignment=joint),
-                  Checkpoint.from_model(model), provenance)
+                  before, provenance)
 
 
 def align_mel_encoder(source_ckpt, corpus, plan):

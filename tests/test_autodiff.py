@@ -1,3 +1,7 @@
+import gc
+import weakref
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,8 +190,78 @@ class TestConv1d:
         for t in (x, kernel, bias):
             np.testing.assert_allclose(t.grad, fd_gradient(loss, t), rtol=1e-5, atol=1e-7)
 
+    @staticmethod
+    def _im2col_grads(x, kernel, g):
+        """Kernel and input gradients of a same-padded conv1d from windows
+        built one output row at a time: the im2col reference."""
+        k, d_in, d_out = kernel.shape
+        t, pad = x.shape[0], k // 2
+        padded = np.zeros((t + 2 * pad, d_in))
+        padded[pad:pad + t] = x
+        cols = np.stack([padded[i:i + k].ravel() for i in range(t)])
+        w2 = kernel.reshape(k * d_in, d_out)
+        gu = (g @ w2.T).reshape(t, k, d_in)
+        gp = np.zeros_like(padded)
+        for j in range(k):
+            gp[j:j + t] += gu[:, j, :]
+        return (cols.T @ g).reshape(k, d_in, d_out), gp[pad:pad + t]
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("t, k", [(1, 3), (6, 3), (7, 9)])
+    def test_grads_match_im2col_reference_bitwise(self, t, k, with_bias):
+        rng = np.random.default_rng(t * 10 + k)
+        arrays = [rng.normal(size=(t, 4)), rng.normal(size=(k, 4, 3)), rng.normal(size=3)]
+        w = rng.normal(size=(t, 3))  # the conv output's gradient, sum(out * w)
+        want_kernel, want_x = self._im2col_grads(arrays[0], arrays[1], w)
+        n = 3 if with_bias else 2
+        for r in range(1, n + 1):
+            for tracking in combinations(range(n), r):
+                x, kernel, bias = (Tensor(a.copy(), requires_grad=i in tracking)
+                                   for i, a in enumerate(arrays))
+                with Tape() as tape:
+                    out = ad.conv1d(x, kernel, bias if with_bias else None)
+                    loss = ad.sum_all(ad.mul(out, Tensor(w)))
+                backward(loss, tape)
+                for i, (p, want) in enumerate(((x, want_x), (kernel, want_kernel))):
+                    if i in tracking:
+                        assert p.grad.tobytes() == want.tobytes(), (tracking, i)
+                    else:
+                        assert p.grad is None
+
 
 class TestBackward:
+    def test_replay_consumes_the_tape(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        kernel = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=4), requires_grad=True)
+
+        def record():
+            # only the tape holds the intermediate tensors
+            with Tape() as tape:
+                h = ad.relu(ad.conv1d(x, kernel))
+                y = ad.layer_norm(h, gamma)
+                loss = ad.mean_all(ad.mul(y, y))
+            return tape, loss, [weakref.ref(a.data) for a in (h, y)]
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            tape, loss, inner = record()
+            assert len(tape) == 5 and all(r() is not None for r in inner)
+            backward(loss, tape)
+            assert len(tape) == 0
+            assert all(r() is None for r in inner)
+            grads = [p.grad.copy() for p in (x, kernel, gamma)]
+            assert loss.grad is None  # an output, not a leaf
+            with pytest.raises(RuntimeError, match="already replayed"):
+                backward(loss, tape)
+        finally:
+            if was:
+                gc.enable()
+        for p, g in zip((x, kernel, gamma), grads):
+            assert p.grad.tobytes() == g.tobytes()
+
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         run_backward(lambda: ad.sum_all(x), x)

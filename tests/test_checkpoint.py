@@ -47,6 +47,17 @@ class TestSnapshot:
         with pytest.raises(CheckpointFormatError, match="registry expects"):
             ckpt.to_model()
 
+    def test_array_assigned_after_construction_reaches_model_read_only(self, tiny):
+        ckpt = snap(tiny)
+        late = np.ones(TINY.mel_dim)
+        ckpt.params["mel_out.b"] = late
+        rebuilt = ckpt.to_model()
+        assert not late.flags.writeable
+        assert np.shares_memory(rebuilt.params["mel_out.b"].data, late)
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt.params["mel_out.b"].data[:] = 5.0
+        assert np.all(late == 1.0)
+
     def test_to_model_shares_in_registry_order(self, tiny):
         ckpt = snap(tiny)
         ckpt.params = dict(reversed(list(ckpt.params.items())))

@@ -106,6 +106,16 @@ class TestPipelineCommands:
         assert code == 2
         assert not (workdir / "never.ckpt").exists()
 
+    def test_align_rejects_nan_learning_rate(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(TINY_CFG.replace("[align]\n", "[align]\nlearning_rate = nan\n"))
+        code = cli.main(["align-mel-encoder", "--ckpt", str(workdir / "source.ckpt"),
+                         "--corpus", str(workdir / "data"), "--config", str(cfg),
+                         "--out", str(tmp_path / "never.ckpt")])
+        assert code == 2
+        assert "learning rate" in capsys.readouterr().err
+        assert not (tmp_path / "never.ckpt").exists()
+
     def test_synthesize_writes_mel_container(self, workdir, tmp_path):
         text = tmp_path / "text.txt"
         text.write_text("1 2 3 4 2\n")

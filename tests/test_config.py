@@ -108,3 +108,23 @@ def test_effective_config_echo(tmp_path):
     target = cf.write_effective_config(cfg, tmp_path / "run")
     assert target.name == "effective.cfg"
     assert cf.load_config(target) == cfg
+
+
+# each stage's learning-rate key, the value its schedule scales
+LR_KEYS = [("source", "peak_scale"), ("align", "learning_rate"), ("adapt", "learning_rate")]
+
+
+@pytest.mark.parametrize("section, key", LR_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_learning_rate_rejected(tmp_path, section, key, value):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] learning rate"):
+        cf.load_config(p)
+
+
+@pytest.mark.parametrize("section, key", LR_KEYS)
+def test_zero_learning_rate_allowed(tmp_path, section, key):
+    p = tmp_path / "zero.cfg"
+    p.write_text(f"[{section}]\n{key} = 0\n")
+    assert getattr(getattr(cf.load_config(p), section), key) == 0.0

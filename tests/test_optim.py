@@ -4,7 +4,7 @@ import pytest
 from meladapt import autodiff as ad
 from meladapt import optim
 from meladapt.autodiff import Tape, Tensor
-from meladapt.errors import NumericError, ShapeError
+from meladapt.errors import ConfigError, NumericError, ShapeError
 from meladapt.optim import AdamState, LrSchedule, adam_step
 
 
@@ -82,13 +82,19 @@ def test_bitwise_determinism():
     assert np.array_equal(a, b)
 
 
-def test_arena_matches_per_tensor_update_bitwise():
+def _check_arena_matches_per_tensor_update():
+    """12 arena updates against the per-tensor reference, bit for bit, on a
+    set that spans more than one `ADAM_CHUNK` and ends in a partial chunk."""
+    chunk = optim.ADAM_CHUNK
     rng = np.random.default_rng(5)
-    shapes = {"w": (4, 3), "b": (3,), "s": (2, 1, 2)}
+    shapes = {"w": (4, 3), "b": (3,), "big": (chunk + 9,), "s": (2, 1, 2)}
+    size = sum(int(np.prod(sh)) for sh in shapes.values())
+    assert size > chunk and size % chunk
     init = {n: rng.normal(size=sh) for n, sh in shapes.items()}
     packed = {n: Tensor(a) for n, a in init.items()}
     loose = {n: Tensor(a) for n, a in init.items()}
     state = AdamState(packed, learning_rate=0.01)
+    assert state._scratch.size == chunk
     ref = AdamState({}, learning_rate=0.01)
     m = {n: np.zeros(sh) for n, sh in shapes.items()}
     v = {n: np.zeros(sh) for n, sh in shapes.items()}
@@ -101,6 +107,15 @@ def test_arena_matches_per_tensor_update_bitwise():
         assert packed[n].data.tobytes() == loose[n].data.tobytes()
     assert state.m.tobytes() == np.concatenate([m[n].ravel() for n in shapes]).tobytes()
     assert state.v.tobytes() == np.concatenate([v[n].ravel() for n in shapes]).tobytes()
+
+
+def test_arena_matches_per_tensor_update_bitwise():
+    _check_arena_matches_per_tensor_update()
+
+
+def test_chunk_edges_inside_tensors_change_no_bit(monkeypatch):
+    monkeypatch.setattr(optim, "ADAM_CHUNK", 5)
+    _check_arena_matches_per_tensor_update()
 
 
 def test_state_buffers_track_parameters():
@@ -213,6 +228,17 @@ class TestSchedule:
         assert s.at(100) == pytest.approx(100 ** -0.5)
         assert s.at(400) == pytest.approx(400 ** -0.5)
         assert s.at(100) > s.at(101) > s.at(400)
+
+    @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-12])
+    def test_nonfinite_or_negative_value_rejected(self, kind, value):
+        with pytest.raises(ConfigError, match="learning rate") as e:
+            LrSchedule(kind=kind, value=value, warmup=10)
+        assert e.value.exit_code == 2
+
+    def test_zero_value_allowed(self):
+        assert LrSchedule(kind="constant", value=0.0).at(5) == 0.0
+        assert LrSchedule(kind="inverse_sqrt", value=0.0, warmup=10).at(5) == 0.0
 
     def test_monotone_after_warmup(self):
         s = LrSchedule(kind="inverse_sqrt", value=0.5, warmup=10)

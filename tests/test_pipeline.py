@@ -156,6 +156,31 @@ class TestTrainSource:
         other, _ = pl.train_source(corpus, CFG, pl.source_plan(steps=30, seed=9))
         assert cp.param_diff(source_ckpt, other) != []
 
+    def test_audit_snapshot_wraps_initial_arrays(self, corpus, monkeypatch):
+        # the freeze audit's `before` holds the initialised model's own
+        # arrays, read-only and apart from Adam's arenas
+        states, audited = [], []
+        real_state, real_audit = pl.AdamState, pl.assert_freeze
+
+        def state_spy(*args, **kwargs):
+            states.append(real_state(*args, **kwargs))
+            return states[-1]
+
+        def audit_spy(before, *args, **kwargs):
+            audited.append(before)
+            return real_audit(before, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "AdamState", state_spy)
+        monkeypatch.setattr(pl, "assert_freeze", audit_spy)
+        plan = pl.source_plan(steps=2)
+        pl.train_source(corpus, CFG, plan)
+        (state,), (before,) = states, audited
+        fresh = m.TtsModel(CFG, seed=plan.seed)
+        for name, arr in before.params.items():
+            assert not arr.flags.writeable, name
+            assert not np.shares_memory(arr, state.data), name
+            assert arr.tobytes() == fresh.params[name].data.tobytes(), name
+
     def test_needs_two_speakers(self):
         solo = sd.gen_corpus(SPEC, 1, 6)
         with pytest.raises(ConfigError):
@@ -550,11 +575,12 @@ class TestStageLoop:
         assert after is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("stage", ["align", "adapt", "adapt_finetune"])
+    @pytest.mark.parametrize("stage", ["source", "align", "adapt", "adapt_finetune"])
     def test_write_to_frozen_parameter_raises(self, stage, enabled, corpus, source_ckpt,
                                               aligned_ckpt, adapt_records, monkeypatch):
-        # frozen tensors share the input checkpoint's read-only arrays, so the
-        # write fails where it happens, before any freeze audit
+        # frozen tensors share the input checkpoint's read-only arrays (in
+        # source training, the audit snapshot's), so the write fails where it
+        # happens, before any freeze audit
         run, builder = self.STAGES[stage]
         real = getattr(pl, builder)
 

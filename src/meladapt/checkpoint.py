@@ -80,13 +80,19 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 def load_checkpoint(path) -> Checkpoint:
     """Reads a checkpoint; other meta keys, such as the always-null
-    `rng_state` and `adam_hyper` of older files, are ignored."""
+    `rng_state` and `adam_hyper` of older files, are ignored. Provenance's
+    `trained_speakers`, where present, must list speaker ids of the table."""
     meta, arrays = binio.read_container(path, CKPT_MAGIC, CKPT_VERSION)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         provenance = meta["provenance"]
         if not isinstance(provenance, dict):
             raise TypeError("provenance is not an object")
+        trained = provenance.get("trained_speakers", [])
+        if not (isinstance(trained, list) and all(
+                type(s) is int and 0 <= s < config.n_speakers for s in trained)):
+            raise TypeError(f"trained_speakers {trained!r} is not a list of "
+                            f"speaker ids in [0, {config.n_speakers})")
     except (KeyError, TypeError, ConfigError) as exc:
         raise errors.CheckpointFormatError(f"{path}: malformed meta: {exc}") from exc
     params = {}

@@ -183,7 +183,11 @@ def cmd_adapt(args):
 
 def cmd_synthesize(args):
     ckpt = load_checkpoint(args.ckpt)
-    text = Path(args.text_file).read_text()
+    try:
+        text = Path(args.text_file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.text_file}: not UTF-8 text ({exc.reason} at "
+                          f"byte {exc.start})") from None
     try:
         phonemes = [int(tok) for tok in text.split()]
     except ValueError as exc:

@@ -6,20 +6,20 @@ needs the keys it overrides, and the effective (fully expanded) config is
 echoed into output directories to make runs self-describing.
 
 Grammar: `[section]` headers, `key = value` lines, `#` comments. Sections and
-keys are fixed; unknown names are rejected. Values are ints, floats, or
-booleans (`true`/`false`) according to the key.
+keys are fixed; unknown names are rejected. Values are ints or floats
+according to the key. The stage sections' settings and defaults are
+`pipeline.SourceOpts`, `AlignOpts` and `AdaptOpts`.
 """
 
 import configparser
-import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .binio import write_text
 from .errors import ConfigError
 from .model import ModelConfig
+from .pipeline import AdaptOpts, AlignOpts, SourceOpts
 from .synthdata import OracleSpec
-from . import pipeline
 
 
 @dataclass(frozen=True)
@@ -27,36 +27,6 @@ class CorpusOpts:
     n_speakers: int = 8           # source-training speakers
     utts_per_speaker: int = 60
     n_adapt_speakers: int = 2     # held out of source training
-
-
-@dataclass(frozen=True)
-class SourceOpts:
-    steps: int = 2000
-    batch_size: int = 4
-    seed: int = 0
-    peak_scale: float = 0.02
-    warmup: int = 100
-    alignment_weight: float = 1.0  # joint-training variant only
-
-
-@dataclass(frozen=True)
-class AlignOpts:
-    steps: int = 500
-    batch_size: int = 4
-    seed: int = 1
-    learning_rate: float = 1e-3
-    alignment_weight: float = 1.0
-
-
-@dataclass(frozen=True)
-class AdaptOpts:
-    steps: int = 200
-    batch_size: int = 4
-    seed: int = 2
-    # constant-lr plateau for conditional-LN adaptation is wide (3e-3..1e-2
-    # measured equivalent); full-model fine-tuning destabilizes above ~5e-3
-    learning_rate: float = 7e-3
-    adapt_speaker_row: bool = True
 
 
 @dataclass(frozen=True)
@@ -88,35 +58,21 @@ class RunConfig:
             raise ConfigError("corpus sizes must be positive")
         # each stage plan's own checks (learning rate, schedule, steps) run at
         # load time, before any stage starts
-        for section, plan in (("source", self.source_plan), ("align", self.align_plan),
-                              ("adapt", self.adapt_plan)):
+        for section in ("source", "align", "adapt"):
             try:
-                plan()
+                getattr(self, section).plan()
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {exc}") from None
 
     def source_plan(self, variant="main"):
-        o = self.source
-        return pipeline.source_plan(
-            steps=o.steps, batch_size=o.batch_size, seed=o.seed,
-            peak_scale=o.peak_scale, warmup=o.warmup,
-            alignment_weight=o.alignment_weight, variant=variant)
+        return self.source.plan(variant)
 
     def align_plan(self, variant="main"):
-        o = self.align
-        return pipeline.align_plan(
-            steps=o.steps, batch_size=o.batch_size, seed=o.seed,
-            learning_rate=o.learning_rate,
-            alignment_weight=o.alignment_weight, variant=variant)
+        return self.align.plan(variant)
 
-    def adapt_plan(self, variant="main", steps=None, seed=None):
-        o = self.adapt
-        return pipeline.adapt_plan(
-            steps=o.steps if steps is None else steps,
-            batch_size=o.batch_size,
-            seed=o.seed if seed is None else seed,
-            learning_rate=o.learning_rate,
-            adapt_speaker_row=o.adapt_speaker_row, variant=variant)
+    def adapt_plan(self, variant="main", **overrides):
+        """The adapt plan, with `overrides` (steps=, seed=) replacing settings."""
+        return replace(self.adapt, **overrides).plan(variant)
 
     def adapt_speaker_ids(self):
         """Speaker ids held out of source training, after the source block."""
@@ -124,14 +80,8 @@ class RunConfig:
         return list(range(first, first + self.corpus.n_adapt_speakers))
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "oracle": OracleSpec,
-    "corpus": CorpusOpts,
-    "source": SourceOpts,
-    "align": AlignOpts,
-    "adapt": AdaptOpts,
-}
+# section name -> its settings class, in file order
+_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def desk_config(seed=0) -> RunConfig:
@@ -141,13 +91,6 @@ def desk_config(seed=0) -> RunConfig:
 def _coerce(section, key, raw, target_type):
     raw = raw.strip()
     try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return target_type(raw)
     except ValueError:
         raise ConfigError(
@@ -169,16 +112,12 @@ def load_config(path) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         cls = _SECTIONS[section]
-        types = {f.name: f.type for f in fields(cls)}
-        # dataclass field annotations are strings here; resolve the builtins
-        named = {"int": int, "float": float, "bool": bool}
+        types = {f.name: f.type for f in fields(cls)}  # int or float
         kwargs = {}
         for key, raw in parser.items(section):
             if key not in types:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-            t = types[key]
-            t = named[t] if isinstance(t, str) else t
-            kwargs[key] = _coerce(section, key, raw, t)
+            kwargs[key] = _coerce(section, key, raw, types[key])
         built[section] = cls(**kwargs)
     return RunConfig(**built)
 
@@ -190,12 +129,7 @@ def config_text(cfg: RunConfig) -> str:
         obj = getattr(cfg, section)
         lines.append(f"\n[{section}]")
         for f in fields(cls):
-            value = getattr(obj, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{f.name} = {getattr(obj, f.name)!r}")
     return "\n".join(lines) + "\n"
 
 

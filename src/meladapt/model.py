@@ -5,7 +5,7 @@ encoder, so that freezing and checkpointing can work on names alone. Every
 parameter belongs to exactly one group, declared with it in `param_specs`.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from types import MappingProxyType
 

@@ -3,7 +3,7 @@ adaptation, and synthesis, with bitwise freeze auditing between stages."""
 
 import csv
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -23,8 +23,9 @@ STAGE_SOURCE = "source_training"
 STAGE_ALIGN = "mel_encoder_aligning"
 STAGE_ADAPT = "untranscribed_adaptation"
 
-# stage -> variant -> the parameter groups it trains. An adaptation plan with
-# `adapt_speaker_row` also trains the adapted speaker's SpeakerTable row.
+# stage -> variant -> the parameter groups it trains; adaptation also trains
+# the adapted speaker's SpeakerTable row, and the freeze audit holds every
+# other row of the table
 TRAINS = {
     STAGE_SOURCE: {
         "main": frozenset(GROUPS) - {"MelEncoder"},
@@ -35,23 +36,28 @@ TRAINS = {
         "no_l2": frozenset({"MelEncoder"}),
     },
     STAGE_ADAPT: {
-        "main": frozenset({"ConditionalLN"}),
+        "main": frozenset({"ConditionalLN", "SpeakerTable"}),
         "finetune_mel_encoder_and_decoder":
-            frozenset({"ConditionalLN", "MelEncoder", "DecoderCore"}),
+            frozenset({"ConditionalLN", "SpeakerTable", "MelEncoder", "DecoderCore"}),
     },
 }
+
+# (stage, variant) -> a loss it records but leaves out of the total; every
+# other recorded loss counts once. no_l2 is aligning without the L2 latent
+# constraint.
+RECORDED_ONLY = {(STAGE_ALIGN, "no_l2"): "alignment"}
 
 
 @dataclass(frozen=True)
 class StagePlan:
+    """One stage run; the `plan` methods below build it from stage settings."""
+
     stage: str
     steps: int
-    batch_size: int = 4
-    seed: int = 0
-    schedule: LrSchedule = field(default_factory=LrSchedule)
-    loss_weights: tuple = ()          # ((name, weight), ...), order fixed
+    batch_size: int
+    seed: int
+    schedule: LrSchedule
     variant: str = "main"
-    adapt_speaker_row: bool = True    # adaptation only
 
     def __post_init__(self):
         if self.stage not in TRAINS:
@@ -66,47 +72,64 @@ class StagePlan:
 
     @property
     def trainable_groups(self) -> frozenset:
-        groups = TRAINS[self.stage][self.variant]
-        if self.stage == STAGE_ADAPT and self.adapt_speaker_row:
-            groups |= {"SpeakerTable"}
-        return groups
-
-    def weights(self) -> dict:
-        return dict(self.loss_weights)
+        return TRAINS[self.stage][self.variant]
 
 
-def source_plan(steps=2000, batch_size=4, seed=0, variant="main",
-                peak_scale=0.02, warmup=100, alignment_weight=1.0):
-    weights = (("mel", 1.0), ("duration", 1.0), ("pitch", 1.0), ("acoustic", 1.0))
-    if variant == "joint_training":
-        weights += (("alignment", alignment_weight), ("reconstruction", 1.0))
-    return StagePlan(
-        stage=STAGE_SOURCE, steps=steps, batch_size=batch_size, seed=seed,
-        schedule=LrSchedule(kind="inverse_sqrt", value=peak_scale, warmup=warmup),
-        loss_weights=weights, variant=variant,
-    )
+# Each stage's settings and their defaults, the one place they are written:
+# the `[source]`, `[align]` and `[adapt]` sections of a run config.
 
 
-def align_plan(steps=500, batch_size=4, seed=1, learning_rate=1e-3,
-               alignment_weight=1.0, variant="main"):
-    if variant == "no_l2":
-        alignment_weight = 0.0
-    return StagePlan(
-        stage=STAGE_ALIGN, steps=steps, batch_size=batch_size, seed=seed,
-        schedule=LrSchedule(kind="constant", value=learning_rate),
-        loss_weights=(("reconstruction", 1.0), ("alignment", alignment_weight)),
-        variant=variant,
-    )
+@dataclass(frozen=True)
+class SourceOpts:
+    steps: int = 2000
+    batch_size: int = 4
+    seed: int = 0
+    peak_scale: float = 0.02
+    warmup: int = 100
+
+    def plan(self, variant="main"):
+        return StagePlan(
+            STAGE_SOURCE, self.steps, self.batch_size, self.seed,
+            LrSchedule(kind="inverse_sqrt", value=self.peak_scale, warmup=self.warmup),
+            variant)
 
 
-def adapt_plan(steps=200, batch_size=4, seed=2, learning_rate=1e-3,
-               adapt_speaker_row=True, variant="main"):
-    return StagePlan(
-        stage=STAGE_ADAPT, steps=steps, batch_size=batch_size, seed=seed,
-        schedule=LrSchedule(kind="constant", value=learning_rate),
-        loss_weights=(("reconstruction", 1.0),),
-        variant=variant, adapt_speaker_row=adapt_speaker_row,
-    )
+@dataclass(frozen=True)
+class AlignOpts:
+    steps: int = 500
+    batch_size: int = 4
+    seed: int = 1
+    learning_rate: float = 1e-3
+
+    def plan(self, variant="main"):
+        return StagePlan(STAGE_ALIGN, self.steps, self.batch_size, self.seed,
+                         LrSchedule(kind="constant", value=self.learning_rate), variant)
+
+
+@dataclass(frozen=True)
+class AdaptOpts:
+    steps: int = 200
+    batch_size: int = 4
+    seed: int = 2
+    # constant-lr plateau for conditional-LN adaptation is wide (3e-3..1e-2
+    # measured equivalent); full-model fine-tuning destabilizes above ~5e-3
+    learning_rate: float = 7e-3
+
+    def plan(self, variant="main"):
+        return StagePlan(STAGE_ADAPT, self.steps, self.batch_size, self.seed,
+                         LrSchedule(kind="constant", value=self.learning_rate), variant)
+
+
+def source_plan(variant="main", **settings):
+    return SourceOpts(**settings).plan(variant)
+
+
+def align_plan(variant="main", **settings):
+    return AlignOpts(**settings).plan(variant)
+
+
+def adapt_plan(variant="main", **settings):
+    return AdaptOpts(**settings).plan(variant)
 
 
 # -- generic loop ----------------------------------------------------------
@@ -131,7 +154,7 @@ def _run_stage(model, plan, items, loss_fn, metrics):
     if not trainable:
         raise ConfigError(f"stage {plan.stage} trains no parameters")
     state = AdamState(trainable)
-    weights = plan.weights()
+    left_out = RECORDED_ONLY.get((plan.stage, plan.variant))
     labels = mm.param_groups(model.config)
     rng = np.random.default_rng(plan.seed)
     gc_was_enabled = gc.isenabled()
@@ -146,10 +169,9 @@ def _run_stage(model, plan, items, loss_fn, metrics):
                         sums[name] = part if name not in sums else ad.add(sums[name], part)
                 total = None
                 for name, part in sums.items():
-                    w = weights.get(name, 1.0)
-                    if w == 0.0:
+                    if name == left_out:
                         continue
-                    term = ad.smul(part, w / plan.batch_size)
+                    term = ad.smul(part, 1 / plan.batch_size)
                     total = term if total is None else ad.add(total, term)
             for name, part in sums.items():
                 metrics.append((step, plan.stage, name, part.item() / plan.batch_size))
@@ -341,7 +363,7 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
 
     model = aligned_ckpt.to_model()
     trained = set(aligned_ckpt.provenance.get("trained_speakers", []))
-    if plan.adapt_speaker_row and trained and target not in trained:
+    if trained and target not in trained:
         # a filled copy: the model shares the checkpoint's read-only table
         table = aligned_ckpt.params["speaker_table"].copy()
         table[target] = _zero_shot_row(table, trained)
@@ -354,11 +376,9 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
         "stage": STAGE_ADAPT, "variant": plan.variant,
         "adapt_steps": plan.steps, "adapt_seed": plan.seed,
         "adapted_speaker": target, "n_adapt_utterances": len(records),
-        "speaker_row_adapted": bool(plan.adapt_speaker_row),
     }
-    rows = {"speaker_table": [target]} if plan.adapt_speaker_row else None
     out, metrics = _train(model, plan, audited, partial(_adapt_losses, cache={}),
-                          aligned_ckpt, provenance, rows)
+                          aligned_ckpt, provenance, {"speaker_table": [target]})
 
     banned = seen_fields - {"mel", "speaker_id", "utterance_id"}
     if banned:

@@ -7,7 +7,7 @@ noise_sigma = 0 the mel depends only on (speaker, phonemes, durations).
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np

@@ -61,7 +61,7 @@ def run_tiny(tmp_dir):
     ckpts = {"source": source, "aligned": aligned}
     for variant in pl.TRAINS[pl.STAGE_ADAPT]:
         ckpts[variant], more = pl.adapt_untranscribed(
-            aligned, records, pl.adapt_plan(steps=2, seed=2, variant=variant))
+            aligned, records, pl.adapt_plan(variant, steps=2, seed=2, learning_rate=1e-3))
         rows += more
     hashes = {}
     Path(tmp_dir).mkdir(parents=True, exist_ok=True)

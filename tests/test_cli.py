@@ -211,6 +211,34 @@ class TestExitCodes:
         assert code == 5
         assert "not float64" in capsys.readouterr().err
 
+    # the tiny model's speaker table has 5 rows
+    @pytest.mark.parametrize("trained", [5, ["a"], [99], [[1]], [-1], [1.5], [True]])
+    def test_corrupt_trained_speakers_is_exit_5(self, workdir, tmp_path, trained, capsys):
+        meta, arrays = binio.read_container(workdir / "adapted.ckpt",
+                                            CKPT_MAGIC, CKPT_VERSION)
+        meta["provenance"]["trained_speakers"] = trained
+        bad = tmp_path / "bad.ckpt"
+        binio.write_container(bad, CKPT_MAGIC, CKPT_VERSION, meta, arrays)
+        text = tmp_path / "text.txt"
+        text.write_text("1 2 3\n")
+        code = cli.main(["synthesize", "--ckpt", str(bad), "--text-file", str(text),
+                         "--speaker", "4", "--out", str(tmp_path / "x.mel")])
+        assert code == 5
+        assert "trained_speakers" in capsys.readouterr().err
+        assert not (tmp_path / "x.mel").exists()
+
+    def test_non_utf8_text_file_is_exit_2(self, workdir, tmp_path, capsys):
+        text = tmp_path / "latin1.txt"
+        text.write_bytes(b"1 2 \xe9 3\n")
+        code = cli.main(["synthesize", "--ckpt", str(workdir / "adapted.ckpt"),
+                         "--text-file", str(text), "--speaker", "3",
+                         "--out", str(tmp_path / "x.mel")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(text) in err and "UTF-8" in err
+        assert not (tmp_path / "x.mel").exists()
+
     @pytest.mark.parametrize("breakage", ["string_shape", "duplicate_array"])
     def test_malformed_container_header_is_exit_5(self, workdir, tmp_path, breakage,
                                                   capsys):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from meladapt import cli
 from meladapt import config as cf
 from meladapt.errors import ConfigError
 
@@ -43,8 +44,8 @@ def test_bad_value_type_rejected(tmp_path):
     p.write_text("[source]\nsteps = many\n")
     with pytest.raises(ConfigError):
         cf.load_config(p)
-    p.write_text("[adapt]\nadapt_speaker_row = maybe\n")
-    with pytest.raises(ConfigError):
+    p.write_text("[adapt]\nlearning_rate = fast\n")
+    with pytest.raises(ConfigError, match="not a valid float"):
         cf.load_config(p)
 
 
@@ -93,9 +94,22 @@ def test_adam_section_rejected_and_plan_overrides_apply(tmp_path):
 def test_variant_plans_validate():
     cfg = cf.desk_config()
     assert "MelEncoder" in cfg.source_plan("joint_training").trainable_groups
-    assert dict(cfg.align_plan("no_l2").loss_weights)["alignment"] == 0.0
+    assert cfg.align_plan("no_l2").variant == "no_l2"
     with pytest.raises(ConfigError):
         cfg.align_plan("finetune_mel_encoder_and_decoder")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("source", "alignment_weight", "1.0"), ("align", "alignment_weight", "1.0"),
+    ("adapt", "adapt_speaker_row", "true")])
+def test_removed_key_exits_2(tmp_path, capsys, section, key, value):
+    # the alignment loss always counts (align's no_l2 variant drops it) and
+    # adaptation always trains the target's speaker row
+    p = tmp_path / "old.cfg"
+    p.write_text(f"[{section}]\n{key} = {value}\n")
+    assert cli.main(["gen-corpus", "--config", str(p), "--out", str(tmp_path / "d")]) == 2
+    assert f"unknown key '{key}' in [{section}]" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_adapt_speaker_ids_follow_source_block():

@@ -45,23 +45,21 @@ def aligned_ckpt(source_ckpt, corpus):
     return ckpt
 
 
-# every (stage, variant, adapt_speaker_row) and the groups its plan trains
+# every (stage, variant) and the groups its plan trains
 _ALL = set(m.GROUPS)
 TRAINABLE = [
-    (pl.STAGE_SOURCE, "main", row, _ALL - {"MelEncoder"}) for row in (True, False)
-] + [
-    (pl.STAGE_SOURCE, "joint_training", row, _ALL) for row in (True, False)
-] + [
-    (pl.STAGE_ALIGN, v, row, {"MelEncoder"})
-    for v in ("main", "no_l2") for row in (True, False)
-] + [
-    (pl.STAGE_ADAPT, "main", True, {"ConditionalLN", "SpeakerTable"}),
-    (pl.STAGE_ADAPT, "main", False, {"ConditionalLN"}),
-    (pl.STAGE_ADAPT, "finetune_mel_encoder_and_decoder", True,
+    (pl.STAGE_SOURCE, "main", _ALL - {"MelEncoder"}),
+    (pl.STAGE_SOURCE, "joint_training", _ALL),
+    (pl.STAGE_ALIGN, "main", {"MelEncoder"}),
+    (pl.STAGE_ALIGN, "no_l2", {"MelEncoder"}),
+    (pl.STAGE_ADAPT, "main", {"ConditionalLN", "SpeakerTable"}),
+    (pl.STAGE_ADAPT, "finetune_mel_encoder_and_decoder",
      {"ConditionalLN", "SpeakerTable", "MelEncoder", "DecoderCore"}),
-    (pl.STAGE_ADAPT, "finetune_mel_encoder_and_decoder", False,
-     {"ConditionalLN", "MelEncoder", "DecoderCore"}),
 ]
+
+
+def _plan(stage, variant):
+    return pl.StagePlan(stage, 1, 4, 0, LrSchedule(), variant)
 
 
 class TestStagePlan:
@@ -72,28 +70,26 @@ class TestStagePlan:
     def test_align_trains_exactly_mel_encoder(self):
         assert set(pl.align_plan(steps=1).trainable_groups) == {"MelEncoder"}
 
-    def test_adapt_trains_cln_and_optionally_row(self):
+    def test_adapt_trains_cln_and_row(self):
         assert set(pl.adapt_plan(steps=1).trainable_groups) == {
             "ConditionalLN", "SpeakerTable"}
-        assert set(pl.adapt_plan(steps=1, adapt_speaker_row=False).trainable_groups) \
-            == {"ConditionalLN"}
 
     def test_wrong_trainable_set_rejected(self):
         # the set follows from stage and variant; a plan cannot declare another
         with pytest.raises(TypeError):
-            pl.StagePlan(stage=pl.STAGE_ALIGN, steps=1,
+            pl.StagePlan(pl.STAGE_ALIGN, 1, 4, 0, LrSchedule(),
                          trainable_groups=frozenset({"DecoderCore"}))
         with pytest.raises(TypeError):
             replace(pl.align_plan(steps=1), trainable_groups=frozenset({"DecoderCore"}))
 
-    @pytest.mark.parametrize("stage,variant,row,groups", TRAINABLE)
-    def test_trainable_groups_per_stage_variant_and_row(self, stage, variant, row, groups):
-        plan = pl.StagePlan(stage=stage, steps=1, variant=variant, adapt_speaker_row=row)
+    @pytest.mark.parametrize("stage,variant,groups", TRAINABLE)
+    def test_trainable_groups_per_stage_and_variant(self, stage, variant, groups):
+        plan = _plan(stage, variant)
         assert plan.trainable_groups == groups
         assert replace(plan, steps=7, batch_size=2).trainable_groups == groups
 
     def test_table_covers_every_combination(self):
-        assert {(s, v) for s, v, _, _ in TRAINABLE} == {
+        assert {(s, v) for s, v, _ in TRAINABLE} == {
             (s, v) for s, variants in pl.TRAINS.items() for v in variants}
 
     @pytest.mark.parametrize("stage,variant", [
@@ -101,16 +97,16 @@ class TestStagePlan:
         (pl.STAGE_ADAPT, "no_l2"), ("mystery_stage", "main")])
     def test_variant_of_another_stage_rejected(self, stage, variant):
         with pytest.raises(ConfigError):
-            pl.StagePlan(stage=stage, steps=1, variant=variant)
+            _plan(stage, variant)
 
     def test_joint_variant_trains_everything(self):
         plan = pl.source_plan(steps=1, variant="joint_training")
         assert set(plan.trainable_groups) == set(m.GROUPS)
-        assert dict(plan.loss_weights)["alignment"] == 1.0
+        assert (plan.stage, plan.variant) not in pl.RECORDED_ONLY
 
     def test_no_l2_zeroes_alignment_weight(self):
         plan = pl.align_plan(steps=1, variant="no_l2")
-        assert dict(plan.loss_weights)["alignment"] == 0.0
+        assert pl.RECORDED_ONLY[(plan.stage, plan.variant)] == "alignment"
         assert set(plan.trainable_groups) == {"MelEncoder"}
 
     def test_finetune_variant_extends_adaptation_set(self):
@@ -120,7 +116,7 @@ class TestStagePlan:
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            pl.StagePlan(stage=pl.STAGE_SOURCE, steps=1, variant="mystery")
+            _plan(pl.STAGE_SOURCE, "mystery")
 
 
 class TestTrainSource:
@@ -213,6 +209,16 @@ class TestAlignMelEncoder:
         curve = [v for s, st, n, v in metrics if n == "alignment"]
         assert curve[-1] < curve[0]
 
+    @pytest.mark.parametrize("variant, in_total", [
+        ("main", ("reconstruction", "alignment")), ("no_l2", ("reconstruction",))])
+    def test_total_counts_each_loss_once(self, source_ckpt, corpus, variant, in_total):
+        # no_l2 still records the alignment loss but leaves it out of the total
+        _, metrics = pl.align_mel_encoder(
+            source_ckpt, corpus, pl.align_plan(variant, steps=1))
+        step0 = {n: v for s, st, n, v in metrics if s == 0}
+        assert step0.keys() == {"reconstruction", "alignment", "total"}
+        assert step0["total"] == pytest.approx(sum(step0[n] for n in in_total), rel=1e-12)
+
     def test_freeze_violation_surfaces(self, source_ckpt, corpus, monkeypatch):
         # simulate a freeze-wiring bug: set_trainable silently enables all
         # groups, so training leaks into frozen parameters and the post-run
@@ -269,13 +275,6 @@ class TestAdaptUntranscribed:
         with pytest.raises(FreezeViolation, match="speaker_table"):
             pl.adapt_untranscribed(aligned_ckpt, adapt_records,
                                    pl.adapt_plan(steps=2, seed=2))
-
-    def test_row_flag_off_keeps_table(self, aligned_ckpt, adapt_records):
-        out, _ = pl.adapt_untranscribed(
-            aligned_ckpt, adapt_records,
-            pl.adapt_plan(steps=5, seed=2, adapt_speaker_row=False))
-        assert np.array_equal(aligned_ckpt.params["speaker_table"],
-                              out.params["speaker_table"])
 
     def test_transcript_bearing_record_rejected(self, aligned_ckpt, corpus):
         with pytest.raises(ConfigError, match="mel-only"):
@@ -346,7 +345,7 @@ class TestInputCheckpointUntouched:
         target = adapt_records[0].speaker_id
         trained = ckpt.provenance["trained_speakers"]
         table = ckpt.params["speaker_table"]
-        assert plan.adapt_speaker_row and target not in trained
+        assert target not in trained
         assert not np.array_equal(table[target], pl._zero_shot_row(table, trained))
         out, _ = self._assert_untouched(ckpt, lambda: pl.adapt_untranscribed(
             ckpt, adapt_records, plan))

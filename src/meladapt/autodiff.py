@@ -137,7 +137,7 @@ def _op(data, *pairs):
     return out
 
 
-def backward(loss, tape, seed=1.0):
+def backward(loss, tape):
     """Populate gradients of every tracked ancestor of a scalar loss.
 
     Replays the tape's records in reverse. Tensors not feeding the loss are
@@ -158,7 +158,7 @@ def backward(loss, tape, seed=1.0):
         raise RuntimeError("this tape was already replayed by backward; "
                            "record the graph again on a new tape")
     tape._replayed = True
-    loss.grad = np.float64(seed)
+    loss.grad = np.float64(1.0)
     records = tape._records
     while records:
         out, pairs = records.pop()
@@ -251,14 +251,12 @@ def softmax(a, axis):
 LN_EPS = 1e-9
 
 
-def _normalize(a, eps):
+def _normalize(a):
     """Rows of a (T, d) array at zero mean and unit variance: (xhat, 1/std)."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     if a.ndim != 2:
         raise ShapeError(f"layer_norm expects (T, d), got {a.shape}")
     centered = a - _row_mean(a)
-    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + LN_EPS)
     return centered * inv, inv
 
 
@@ -275,12 +273,12 @@ def _normalize_grad(g, xhat, inv):
     return inv * (g - m1 - xhat * m2)
 
 
-def layer_norm(a, gamma=None, beta=None, eps=LN_EPS):
+def layer_norm(a, gamma=None, beta=None):
     """Row-wise normalization of a (T, d) tensor, optional affine.
 
-    A zero-variance row maps to zeros through the eps guard.
+    A zero-variance row maps to zeros through the `LN_EPS` guard.
     """
-    xhat, inv = _normalize(a.data, eps)
+    xhat, inv = _normalize(a.data)
     d = a.shape[1]
     if gamma is not None and gamma.shape != (d,):
         raise ShapeError(f"gamma shape {gamma.shape} does not match feature dim {d}")
@@ -525,7 +523,7 @@ def conditional_layer_norm(x, e, w_scale, b_scale, w_bias, b_bias):
     its two gradients in the composed replay order: through the bias map,
     then through the scale map.
     """
-    xhat, inv = _normalize(x.data, LN_EPS)
+    xhat, inv = _normalize(x.data)
     d = x.shape[1]
     if e.ndim != 2 or e.shape[0] != 1:
         raise ShapeError(f"conditioning input must be one (1, n) row, got {e.shape}")
@@ -554,43 +552,26 @@ def mean_all(a):
     return _op(a.data.sum() / n, (a, lambda g: np.full_like(a.data, float(g) / n)))
 
 
-def _masked_selection(pred, target, mask):
+def _loss_diff(pred, target):
+    """pred - target for a loss over every element: training scores one
+    utterance at a time, so no row is padding. The `masked_` names of the
+    losses below are historical."""
     if pred.shape != target.shape:
         raise ShapeError(f"loss operands differ in shape: {pred.shape} vs {target.shape}")
-    if mask is None:
-        return None, pred.data - target.data, pred.data.size
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (pred.shape[0],):
-        raise ShapeError(f"mask shape {mask.shape} != ({pred.shape[0]},)")
-    sel = np.flatnonzero(mask)
-    if sel.size == 0:
-        raise ConfigError("fully-masked input: mean over zero elements is undefined")
-    diff = pred.data[sel] - target.data[sel]
-    return sel, diff, diff.size
+    return pred.data - target.data
 
 
-def _masked_loss(value, pred, target, sel, core):
-    """A masked loss whose gradient wrt `pred` is `core(g)` on the selected
-    rows (zero on masked ones) and wrt `target` its negation."""
-    def grad_pred(g):
-        if sel is None:
-            return core(g)
-        full = np.zeros_like(pred.data)
-        full[sel] = core(g)
-        return full
-
-    return _op(value, (pred, grad_pred), (target, lambda g: -grad_pred(g)))
+def masked_mae(pred, target):
+    """Mean absolute difference of two same-shaped tensors."""
+    diff = _loss_diff(pred, target)
+    n = diff.size
+    grad = lambda g: np.sign(diff) * (float(g) / n)
+    return _op(np.abs(diff).sum() / n, (pred, grad), (target, lambda g: -grad(g)))
 
 
-def masked_mae(pred, target, mask=None):
-    """Mean absolute difference over unmasked rows. Mask is a bool array over axis 0."""
-    sel, diff, n = _masked_selection(pred, target, mask)
-    return _masked_loss(np.abs(diff).sum() / n, pred, target, sel,
-                        lambda g: np.sign(diff) * (float(g) / n))
-
-
-def masked_mse(pred, target, mask=None):
-    """Mean squared difference over unmasked rows. Mask is a bool array over axis 0."""
-    sel, diff, n = _masked_selection(pred, target, mask)
-    return _masked_loss((diff * diff).sum() / n, pred, target, sel,
-                        lambda g: diff * (2.0 * float(g) / n))
+def masked_mse(pred, target):
+    """Mean squared difference of two same-shaped tensors."""
+    diff = _loss_diff(pred, target)
+    n = diff.size
+    grad = lambda g: diff * (2.0 * float(g) / n)
+    return _op((diff * diff).sum() / n, (pred, grad), (target, lambda g: -grad(g)))

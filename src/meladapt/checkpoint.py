@@ -1,6 +1,7 @@
 """Checkpoint snapshot, byte-exact serialization, and freeze auditing."""
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -11,18 +12,21 @@ from .model import ModelConfig, TtsModel, param_shapes
 CKPT_MAGIC = b"MACKPT\x00\x01"
 CKPT_VERSION = 1
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
-    """An immutable snapshot: every array in `params` is made read-only on
-    construction, and again by `to_model` for one assigned into `params`
-    since, so models built by `to_model` share them without a copy."""
+    """An immutable snapshot. Construction checks `params` against the
+    registry, makes every array read-only and stores them in a read-only
+    mapping, so models built by `to_model` share them without a copy."""
 
     config: ModelConfig
-    params: dict                 # name -> read-only float64 ndarray
+    params: MappingProxyType     # name -> read-only float64 ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _seal(self.params)
+        _check_registry(self.config, self.params)
+        for arr in self.params.values():
+            arr.setflags(write=False)
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @classmethod
     def from_model(cls, model, provenance=None):
@@ -35,21 +39,10 @@ class Checkpoint:
     def to_model(self) -> TtsModel:
         """A model whose parameters share this checkpoint's read-only arrays;
         a stage's trainable set moves into Adam's arenas when it starts."""
-        _check_registry(self.config, self.params, "checkpoint")
-        _seal(self.params)
         return TtsModel.from_arrays(self.config, self.params)
 
 
-def _seal(params):
-    """Make every array of `params` read-only. `to_model` calls this on
-    every build, so the flag is set only where it is still on: reading it
-    costs a sixth of setting it."""
-    for arr in params.values():
-        if arr.flags.writeable:
-            arr.setflags(write=False)
-
-
-def _check_registry(config, params, source):
+def _check_registry(config, params):
     """Raise CheckpointFormatError unless `params` (name -> ndarray) holds
     exactly the registry's names of `config`, each a float64 array at its
     registry shape."""
@@ -58,18 +51,18 @@ def _check_registry(config, params, source):
         extra = set(params) - set(shapes)
         missing = set(shapes) - set(params)
         raise errors.unknown_names(
-            f"{source}: parameter names do not match the registry "
+            f"parameter names do not match the registry "
             f"(extra: {sorted(extra)[:4]}, missing: {sorted(missing)[:4]})"
         )
     for name, arr in params.items():
         if shapes[name] != arr.shape:
             raise errors.CheckpointFormatError(
-                f"{source}: parameter '{name}' has shape {arr.shape}, registry "
+                f"parameter '{name}' has shape {arr.shape}, registry "
                 f"expects {shapes[name]}"
             )
         if arr.dtype != np.float64:
             raise errors.CheckpointFormatError(
-                f"{source}: parameter '{name}' is {arr.dtype}, not float64")
+                f"parameter '{name}' is {arr.dtype}, not float64")
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -100,8 +93,10 @@ def load_checkpoint(path) -> Checkpoint:
         if not name.startswith("param."):
             raise errors.unknown_names(f"{path}: unexpected array '{name}'")
         params[name[len("param."):]] = arr
-    _check_registry(config, params, path)
-    return Checkpoint(config=config, params=params, provenance=provenance)
+    try:
+        return Checkpoint(config=config, params=params, provenance=provenance)
+    except errors.CheckpointFormatError as exc:
+        raise errors.CheckpointFormatError(f"{path}: {exc}", exc.code) from None
 
 
 def param_diff(a: Checkpoint, b: Checkpoint) -> list:

@@ -6,13 +6,13 @@ determined by its config file, flags, and seed; the effective configuration is
 echoed next to each output so results are self-describing.
 
 Exit codes: 0 success, 2 configuration error, 3 parameter-freeze violation,
-4 numeric failure, 5 file-format error. Set MELADAPT_VERBOSE=1 for per-stage
-loss chatter.
+4 numeric failure, 5 file-format error. The training commands print their
+final losses (adapt: the record fields it consumed) and `eval` each arm it
+scored, besides the output paths.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,19 +29,6 @@ from .evalmetrics import paired_report, write_report_csv
 
 MEL_MAGIC = b"MAMEL\x00\x00\x01"
 MEL_VERSION = 1
-
-
-def _verbose() -> bool:
-    return os.environ.get("MELADAPT_VERBOSE", "") not in ("", "0")
-
-
-def _say(msg):
-    print(msg)
-
-
-def _chat(msg):
-    if _verbose():
-        print(msg)
 
 
 def _load_cfg(args):
@@ -94,24 +81,21 @@ def cmd_gen_corpus(args):
     cfg = _load_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = cfg.oracle
-    source = sd.gen_corpus(spec, cfg.corpus.n_speakers, cfg.corpus.utts_per_speaker)
+    bench = ex.Workbench(cfg, 0)
+    source = bench.source_corpus
     sd.save_corpus(source, out / "source.corpus")
     manifest = {
-        "spec": {"seed": spec.seed, "phoneme_vocab_size": spec.phoneme_vocab_size,
-                 "mel_dim": spec.mel_dim, "noise_sigma": spec.noise_sigma},
+        "spec": sd.spec_meta(bench.spec),
         "source": {"file": "source.corpus", "hash": sd.corpus_hash(source),
                    "speakers": source.speakers()},
         "adaptation": {},
     }
     for spk in cfg.adapt_speaker_ids():
-        corpus = sd.gen_corpus(spec, 1, ex.ADAPT_POOL + ex.EVAL_COUNT,
-                               first_speaker=spk)
-        pool = sd.strip_transcripts(corpus, spk)[: ex.ADAPT_POOL]
-        evals = sd.Corpus(spec, corpus.of_speaker(spk)[ex.ADAPT_POOL:])
+        pool = bench.adapt_records(spk, ex.ADAPT_POOL)
+        evals = sd.Corpus(bench.spec, bench.eval_utterances(spk))
         pool_name = f"adapt_{spk}_pool.corpus"
         eval_name = f"adapt_{spk}_eval.corpus"
-        sd.save_corpus(pool, out / pool_name, spec=spec)
+        sd.save_corpus(pool, out / pool_name, spec=bench.spec)
         sd.save_corpus(evals, out / eval_name)
         manifest["adaptation"][str(spk)] = {
             "pool": pool_name, "n_pool": len(pool),
@@ -120,8 +104,8 @@ def cmd_gen_corpus(args):
     binio.write_text(out / "manifest.json",
                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     _echo_config(cfg, out)
-    _say(f"wrote corpus for {len(source.speakers())} source and "
-         f"{len(manifest['adaptation'])} adaptation speakers to {out}")
+    print(f"wrote corpus for {len(source.speakers())} source and "
+          f"{len(manifest['adaptation'])} adaptation speakers to {out}")
 
 
 def cmd_train_source(args):
@@ -135,8 +119,8 @@ def cmd_train_source(args):
     save_checkpoint(ckpt, args.out)
     pl.write_metrics(metrics, str(args.out) + ".metrics.csv")
     _echo_config(cfg, args.out)
-    _chat(f"final losses: {_tail_losses(metrics, plan.stage)}")
-    _say(f"trained source model ({plan.steps} steps) -> {args.out}")
+    print(f"final losses: {_tail_losses(metrics, plan.stage)}")
+    print(f"trained source model ({plan.steps} steps) -> {args.out}")
 
 
 def cmd_align(args):
@@ -151,8 +135,8 @@ def cmd_align(args):
     save_checkpoint(ckpt, args.out)
     pl.write_metrics(metrics, str(args.out) + ".metrics.csv")
     _echo_config(cfg, args.out)
-    _chat(f"final losses: {_tail_losses(metrics, plan.stage)}")
-    _say(f"aligned mel encoder ({plan.steps} steps) -> {args.out}")
+    print(f"final losses: {_tail_losses(metrics, plan.stage)}")
+    print(f"aligned mel encoder ({plan.steps} steps) -> {args.out}")
 
 
 def cmd_adapt(args):
@@ -176,9 +160,9 @@ def cmd_adapt(args):
     save_checkpoint(ckpt, args.out)
     pl.write_metrics(metrics, str(args.out) + ".metrics.csv")
     _echo_config(cfg, args.out)
-    _chat(f"consumed fields: {ckpt.provenance.get('field_audit')}")
-    _say(f"adapted to speaker {args.speaker} with {args.n_utts} utterances "
-         f"-> {args.out}")
+    print(f"consumed fields: {ckpt.provenance.get('field_audit')}")
+    print(f"adapted to speaker {args.speaker} with {args.n_utts} utterances "
+          f"-> {args.out}")
 
 
 def cmd_synthesize(args):
@@ -201,7 +185,7 @@ def cmd_synthesize(args):
         raise ConfigError(f"phoneme ids {bad} outside vocabulary 0..{vocab - 1}")
     mel = pl.synthesize(ckpt, np.asarray(phonemes, dtype=np.int64), args.speaker)
     save_mel(mel, args.out, args.speaker)
-    _say(f"synthesized {mel.shape[0]} frames x {mel.shape[1]} dims -> {args.out}")
+    print(f"synthesized {mel.shape[0]} frames x {mel.shape[1]} dims -> {args.out}")
 
 
 def cmd_eval(args):
@@ -223,14 +207,14 @@ def cmd_eval(args):
     for name, path in zip(names, args.arms):
         values[name] = ex.score_utterances(load_checkpoint(path), corpus.utterances,
                                            corpus.spec, corpus.speakers())
-        _chat(f"evaluated {name} on {len(corpus.utterances)} utterances")
+        print(f"evaluated {name} on {len(corpus.utterances)} utterances")
     rows = []
     for name in names:
         for metric in ex.EVAL_METRICS:
             per = values[name][metric]
             rows.extend((uid, name, metric, per[uid]) for uid in sorted(per))
     write_report_csv(rows, args.report)
-    _say(f"wrote {len(rows)} metric rows -> {args.report}")
+    print(f"wrote {len(rows)} metric rows -> {args.report}")
     if len(names) == 2:
         lines = []
         for metric in ex.EVAL_METRICS:
@@ -240,7 +224,7 @@ def cmd_eval(args):
         summary_path = Path(str(args.report) + ".summary.txt")
         binio.write_text(summary_path, "\n".join(lines) + "\n")
         for line in lines:
-            _say(line)
+            print(line)
 
 
 def cmd_experiment(args):
@@ -248,8 +232,8 @@ def cmd_experiment(args):
     out = Path(args.out) if args.out else Path("runs") / f"{args.recipe}-seed{args.seed}"
     result = ex.run_experiment(args.recipe, cfg, seed=args.seed, out_dir=out)
     for line in result.summaries:
-        _say(line)
-    _say(f"experiment '{args.recipe}' (seed {args.seed}) -> {out}")
+        print(line)
+    print(f"experiment '{args.recipe}' (seed {args.seed}) -> {out}")
 
 
 def cmd_strip_transcripts(args):
@@ -258,7 +242,7 @@ def cmd_strip_transcripts(args):
         raise ConfigError("corpus is already mel-only")
     records = sd.strip_transcripts(corpus, args.speaker)
     sd.save_corpus(records, args.out, spec=corpus.spec)
-    _say(f"stripped {len(records)} records of speaker {args.speaker} -> {args.out}")
+    print(f"stripped {len(records)} records of speaker {args.speaker} -> {args.out}")
 
 
 def _build_parser():

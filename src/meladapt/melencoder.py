@@ -26,7 +26,7 @@ def mel_encoder_forward(model, mel) -> Tensor:
     return h
 
 
-def alignment_loss(mel_hidden, phoneme_hidden_expanded, mask=None):
+def alignment_loss(mel_hidden, phoneme_hidden_expanded):
     """Mean squared gap between the two latent sequences.
 
     The phoneme side is always treated as a constant target: gradients reach
@@ -37,7 +37,7 @@ def alignment_loss(mel_hidden, phoneme_hidden_expanded, mask=None):
             f"latent shapes differ: {mel_hidden.shape} vs {phoneme_hidden_expanded.shape}"
         )
     target = Tensor(phoneme_hidden_expanded.data)  # detached view
-    return ad.masked_mse(mel_hidden, target, mask)
+    return ad.masked_mse(mel_hidden, target)
 
 
 def decoder_inputs(model, h_mel, mel_in) -> Tensor:

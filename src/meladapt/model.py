@@ -69,14 +69,6 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
-class SpeakerContext:
-    """Carrier for the conditioning input consumed by conditional layer norm."""
-
-    speaker_id: int
-    embedding: Tensor  # [1 x speaker_embedding_dim] row, live view of the table
-
-
 @lru_cache(maxsize=256)
 def _posenc_cached(T, d):
     pos = np.arange(T, dtype=np.float64)[:, None]
@@ -240,10 +232,10 @@ class TtsModel:
     def trainable_params(self) -> dict:
         return {n: t for n, t in self.params.items() if t.requires_grad}
 
-    def speaker_context(self, speaker_id: int) -> SpeakerContext:
+    def speaker_context(self, speaker_id: int) -> Tensor:
+        """The (1, e) speaker-table row conditional layer norm reads."""
         check_speaker_id(speaker_id, self.config.n_speakers)
-        emb = ad.gather_rows(self.params["speaker_table"], np.array([speaker_id]))
-        return SpeakerContext(speaker_id, emb)
+        return ad.gather_rows(self.params["speaker_table"], np.array([speaker_id]))
 
 
 def check_speaker_id(speaker_id, n_speakers):
@@ -259,10 +251,11 @@ def check_speaker_id(speaker_id, n_speakers):
 
 
 def conditional_layer_norm(x, speaker, model, prefix):
-    """layer_norm(x) * scale(e) + bias(e), scale/bias from two linear maps."""
+    """layer_norm(x) * scale(e) + bias(e), scale/bias from two linear maps of
+    the (1, e) speaker embedding `speaker`."""
     p = model.params
     return ad.conditional_layer_norm(
-        x, speaker.embedding,
+        x, speaker,
         *(p[f"{prefix}.{part}"] for part in ("w_scale", "b_scale", "w_bias", "b_bias")))
 
 

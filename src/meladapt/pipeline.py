@@ -69,6 +69,8 @@ class StagePlan:
             )
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def trainable_groups(self) -> frozenset:
@@ -358,7 +360,7 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
     target = speakers[0]
 
     if plan.steps == 0:
-        return Checkpoint(config=aligned_ckpt.config, params=dict(aligned_ckpt.params),
+        return Checkpoint(config=aligned_ckpt.config, params=aligned_ckpt.params,
                           provenance=dict(aligned_ckpt.provenance)), []
 
     model = aligned_ckpt.to_model()
@@ -403,7 +405,7 @@ def synthesize(ckpt, phonemes, speaker_id) -> np.ndarray:
     trained = set(ckpt.provenance.get("trained_speakers", []))
     if trained and speaker_id not in trained:
         mean_row = _zero_shot_row(model.params["speaker_table"].data, trained)
-        spk = mm.SpeakerContext(speaker_id, Tensor(mean_row[None, :]))
+        spk = Tensor(mean_row[None, :])
     else:
         spk = model.speaker_context(speaker_id)
     res = mm.tts_forward(model, phonemes, spk)

@@ -7,6 +7,7 @@ noise_sigma = 0 the mel depends only on (speaker, phonemes, durations).
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,10 +39,12 @@ class OracleSpec:
     noise_sigma: float = 0.01
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"oracle seed must be >= 0, got {self.seed}")
         if self.phoneme_vocab_size < 1 or self.mel_dim < 1:
             raise ConfigError("vocab and mel sizes must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _rng(spec, *key):
@@ -216,7 +219,7 @@ def _record_meta(u):
             "utterance_id": int(u.utterance_id)}
 
 
-def _spec_meta(spec):
+def spec_meta(spec):
     return {"seed": spec.seed, "phoneme_vocab_size": spec.phoneme_vocab_size,
             "mel_dim": spec.mel_dim, "noise_sigma": spec.noise_sigma}
 
@@ -230,7 +233,7 @@ def save_corpus(corpus_or_records, path, spec=None):
         if spec is None:
             raise ConfigError("mel-only record list needs an explicit spec")
         records = corpus_or_records
-    meta = {"spec": _spec_meta(spec), "records": [_record_meta(u) for u in records]}
+    meta = {"spec": spec_meta(spec), "records": [_record_meta(u) for u in records]}
     arrays = {}
     for i, u in enumerate(records):
         tag = f"u{i:06d}"
@@ -323,7 +326,7 @@ def load_corpus(path, expect_mel_dim=None):
 def corpus_hash(corpus) -> str:
     """Stable content hash used to pin the reference corpus in the repo."""
     h = hashlib.sha256()
-    h.update(binio._canonical_json(_spec_meta(corpus.spec)))
+    h.update(binio._canonical_json(spec_meta(corpus.spec)))
     for u in corpus.utterances:
         h.update(binio._canonical_json(_record_meta(u)))
         for arr in (u.phonemes, u.durations, u.pitch, u.mel):

@@ -121,7 +121,7 @@ class TestLayerNorm:
         # direct statistic computation on the pre-affine output
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(4, 8)) * 3 + 1)
-        out = ad.layer_norm(x, None, None, eps=1e-12)
+        out = ad.layer_norm(x, None, None)
         mu = out.data.mean(axis=1)
         var = out.data.var(axis=1)
         assert np.abs(mu).max() < 1e-9
@@ -133,10 +133,6 @@ class TestLayerNorm:
         for shape in [(1, 1), (5, 3), (7, 8), (40, 64), (3, 129), (2, 300)]:
             x = rng.normal(size=shape) * rng.lognormal(size=shape)
             assert ad._row_mean(x).tobytes() == x.mean(axis=1, keepdims=True).tobytes()
-
-    def test_eps_validation(self):
-        with pytest.raises(ConfigError):
-            ad.layer_norm(Tensor(np.zeros((2, 2))), None, None, eps=0.0)
 
     def test_grad_vs_fd(self):
         rng = np.random.default_rng(5)
@@ -381,32 +377,12 @@ class TestMaskedLosses:
         ) / 15
         assert ad.masked_mse(a, b).item() == pytest.approx(expected, rel=1e-12)
 
-    def test_mask_neutrality_bitwise(self):
-        rng = np.random.default_rng(31)
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(4, 3))
-        plain = ad.masked_mse(Tensor(a), Tensor(b), np.ones(4, dtype=bool))
-        padded_a = Tensor(np.vstack([a, rng.normal(size=(2, 3))]))
-        padded_b = Tensor(np.vstack([b, rng.normal(size=(2, 3))]))
-        mask = np.array([True] * 4 + [False] * 2)
-        padded = ad.masked_mse(padded_a, padded_b, mask)
-        assert plain.item() == padded.item()  # bitwise
-        run_backward(lambda: ad.masked_mse(padded_a, padded_b, mask), padded_a)
-        assert np.all(padded_a.grad[4:] == 0.0)
-
-    def test_fully_masked_rejected(self):
-        with pytest.raises(ConfigError):
-            ad.masked_mae(
-                Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), np.zeros(3, dtype=bool)
-            )
-
     def test_grads_vs_fd(self):
         rng = np.random.default_rng(41)
         a = Tensor(rng.normal(size=(4, 3)))
         b = Tensor(rng.normal(size=(4, 3)))
-        mask = np.array([True, False, True, True])
         for op in (ad.masked_mae, ad.masked_mse):
-            loss = lambda: op(a, b, mask)
+            loss = lambda: op(a, b)
             run_backward(loss, a, b)
             np.testing.assert_allclose(a.grad, fd_gradient(loss, a), rtol=1e-5, atol=1e-7)
             np.testing.assert_allclose(b.grad, fd_gradient(loss, b), rtol=1e-5, atol=1e-7)

@@ -88,6 +88,14 @@ class TestPipelineCommands:
         assert (workdir / "adapted.ckpt.cfg").is_file()
         assert (workdir / "source.ckpt.metrics.csv").is_file()
 
+    def test_train_source_prints_final_losses(self, workdir, tmp_path, capsys):
+        assert cli.main(["train-source", "--corpus", str(workdir / "data"),
+                         "--config", str(workdir / "tiny.cfg"),
+                         "--out", str(tmp_path / "s.ckpt")]) == 0
+        out = capsys.readouterr().out
+        assert "final losses: acoustic " in out
+        assert f"trained source model (5 steps) -> {tmp_path / 's.ckpt'}" in out
+
     def test_adapt_refuses_transcript_bearing_corpus(self, workdir, capsys):
         code = cli.main(["adapt", "--ckpt", str(workdir / "aligned.ckpt"),
                          "--corpus", str(workdir / "data" / "source.corpus"),

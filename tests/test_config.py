@@ -112,6 +112,20 @@ def test_removed_key_exits_2(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("oracle", "seed", "-1"), ("source", "seed", "-1"), ("align", "seed", "-1"),
+    ("adapt", "seed", "-1"), ("oracle", "noise_sigma", "nan"),
+    ("oracle", "noise_sigma", "inf"), ("oracle", "noise_sigma", "-0.5")])
+def test_negative_seed_or_bad_noise_exits_2(tmp_path, capsys, section, key, value):
+    # numpy's seeding refuses a negative seed only once a stage or the corpus
+    # generator draws; a NaN noise_sigma would give a noiseless corpus
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"[{section}]\n{key} = {value}\n")
+    assert cli.main(["gen-corpus", "--config", str(p), "--out", str(tmp_path / "d")]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_adapt_speaker_ids_follow_source_block():
     cfg = cf.desk_config()
     assert cfg.adapt_speaker_ids() == [8, 9]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from meladapt import binio
 from meladapt import synthdata as sd
 from meladapt.errors import CheckpointFormatError, ConfigError
 
@@ -43,6 +44,13 @@ class TestDeterminism:
         assert pairs, "no same-length pair in 40 draws"
         for group in pairs:
             assert np.array_equal(group[0].mel, group[1].mel)
+
+
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"noise_sigma": float("nan")},
+                                 {"noise_sigma": float("inf")}, {"noise_sigma": -0.01}])
+def test_spec_rejects_negative_seed_and_bad_noise(bad):
+    with pytest.raises(ConfigError):
+        sd.OracleSpec(**bad)
 
 
 class TestGeneratorShape:
@@ -188,6 +196,17 @@ class TestCorpusIo:
         with pytest.raises(CheckpointFormatError) as e:
             sd.load_corpus(path)
         assert e.value.code == "version"
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("noise_sigma", float("nan"))])
+    def test_spec_checks_apply_to_a_loaded_file(self, tmp_path, key, value):
+        path = tmp_path / "s.corpus"
+        sd.save_corpus(sd.gen_corpus(SPEC, 1, 2), path)
+        meta, arrays = binio.read_container(path, sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
+        meta["spec"][key] = value
+        binio.write_container(path, sd.CORPUS_MAGIC, sd.CORPUS_VERSION, meta, arrays)
+        with pytest.raises(CheckpointFormatError, match=f"{key} must be") as e:
+            sd.load_corpus(path)
+        assert e.value.exit_code == 5
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.corpus"

@@ -41,8 +41,7 @@ CASES = {
                             lambda *ps: ad.concat_cols(list(ps))),
     "sum_all": lambda: ((_t(T, D),), lambda a: ad.sum_all(a)),
     "mean_all": lambda: ((_t(T, D),), lambda a: ad.mean_all(a)),
-    "masked_mae": lambda: ((_t(T, D), _t(T, D, seed=1)),
-                           lambda p, t: ad.masked_mae(p, t, np.array([1, 0, 1, 1], bool))),
+    "masked_mae": lambda: ((_t(T, D), _t(T, D, seed=1)), lambda p, t: ad.masked_mae(p, t)),
     "masked_mse": lambda: ((_t(T, D), _t(T, D, seed=1)), lambda p, t: ad.masked_mse(p, t)),
 }
 OPS = sorted(CASES)

@@ -8,7 +8,8 @@ echoed into output directories to make runs self-describing.
 Grammar: `[section]` headers, `key = value` lines, `#` comments. Sections and
 keys are fixed; unknown names are rejected. Values are ints or floats
 according to the key. The stage sections' settings and defaults are
-`pipeline.SourceOpts`, `AlignOpts` and `AdaptOpts`.
+`pipeline.SourceOpts`, `AlignOpts` and `AdaptOpts`, each of which is also
+its stage's plan.
 """
 
 import configparser
@@ -56,23 +57,16 @@ class RunConfig:
             raise ConfigError("need at least 2 source speakers")
         if self.corpus.utts_per_speaker < 1 or self.corpus.n_adapt_speakers < 0:
             raise ConfigError("corpus sizes must be positive")
-        # each stage plan's own checks (learning rate, schedule, steps) run at
-        # load time, before any stage starts
-        for section in ("source", "align", "adapt"):
-            try:
-                getattr(self, section).plan()
-            except ConfigError as exc:
-                raise ConfigError(f"[{section}] {exc}") from None
 
     def source_plan(self, variant="main"):
-        return self.source.plan(variant)
+        return replace(self.source, variant=variant)
 
     def align_plan(self, variant="main"):
-        return self.align.plan(variant)
+        return replace(self.align, variant=variant)
 
     def adapt_plan(self, variant="main", **overrides):
         """The adapt plan, with `overrides` (steps=, seed=) replacing settings."""
-        return replace(self.adapt, **overrides).plan(variant)
+        return replace(self.adapt, variant=variant, **overrides)
 
     def adapt_speaker_ids(self):
         """Speaker ids held out of source training, after the source block."""
@@ -82,6 +76,11 @@ class RunConfig:
 
 # section name -> its settings class, in file order
 _SECTIONS = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _keys(cls):
+    """{key: int or float} of a section; `--variant` alone sets a stage's variant."""
+    return {f.name: f.type for f in fields(cls) if f.name != "variant"}
 
 
 def desk_config(seed=0) -> RunConfig:
@@ -112,13 +111,16 @@ def load_config(path) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         cls = _SECTIONS[section]
-        types = {f.name: f.type for f in fields(cls)}  # int or float
+        types = _keys(cls)
         kwargs = {}
         for key, raw in parser.items(section):
             if key not in types:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             kwargs[key] = _coerce(section, key, raw, types[key])
-        built[section] = cls(**kwargs)
+        try:
+            built[section] = cls(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     return RunConfig(**built)
 
 
@@ -128,8 +130,8 @@ def config_text(cfg: RunConfig) -> str:
     for section, cls in _SECTIONS.items():
         obj = getattr(cfg, section)
         lines.append(f"\n[{section}]")
-        for f in fields(cls):
-            lines.append(f"{f.name} = {getattr(obj, f.name)!r}")
+        for key in _keys(cls):
+            lines.append(f"{key} = {getattr(obj, key)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -30,6 +30,10 @@ DEFAULT_ADAPT_N = 50
 
 EVAL_METRICS = ("mel_mae", "proximity")
 
+# adaptation base -> its upstream checkpoint's key: (Workbench method, variant)
+_UPSTREAM = {"main": ("aligned", "main"), "joint": ("source", "joint_training"),
+             "no_l2": ("aligned", "no_l2")}
+
 
 def _utt_uid(speaker_id, utterance_id):
     return speaker_id * 1000 + utterance_id
@@ -77,27 +81,22 @@ class Workbench:
 
     # -- stage checkpoints, cached by content-determining key ---------------
 
-    def source(self, variant="main"):
-        key = ("source", variant)
+    def _stage(self, key, train):
+        """The checkpoint cached under `key`; `train()` returns (checkpoint,
+        metrics) the first time the key is asked for."""
         if key not in self._ckpts:
-            plan = self.cfg.source_plan(variant)
-            plan = replace(plan, seed=plan.seed + self.seed)
-            ckpt, metrics = pl.train_source(self.source_corpus,
-                                            self.cfg.model, plan)
-            self._ckpts[key] = ckpt
-            self._metrics[key] = metrics
+            self._ckpts[key], self._metrics[key] = train()
         return self._ckpts[key]
 
+    def source(self, variant="main"):
+        plan = self.cfg.source_plan(variant)
+        return self._stage(("source", variant), lambda: pl.train_source(
+            self.source_corpus, self.cfg.model, replace(plan, seed=plan.seed + self.seed)))
+
     def aligned(self, variant="main"):
-        key = ("aligned", variant)
-        if key not in self._ckpts:
-            plan = self.cfg.align_plan(variant)
-            plan = replace(plan, seed=plan.seed + self.seed)
-            ckpt, metrics = pl.align_mel_encoder(self.source("main"),
-                                                 self.source_corpus, plan)
-            self._ckpts[key] = ckpt
-            self._metrics[key] = metrics
-        return self._ckpts[key]
+        plan = self.cfg.align_plan(variant)
+        return self._stage(("aligned", variant), lambda: pl.align_mel_encoder(
+            self.source("main"), self.source_corpus, replace(plan, seed=plan.seed + self.seed)))
 
     def adapt_records(self, speaker, n):
         pool = sd.strip_transcripts(self.adapt_corpora[speaker], speaker)
@@ -114,23 +113,14 @@ class Workbench:
         """base picks the upstream path: 'main' (source+align), 'joint'
         (jointly trained source, no aligning stage), 'no_l2' (align without
         the latent constraint)."""
+        if base not in _UPSTREAM:
+            raise ConfigError(f"unknown adaptation base '{base}'")
+        stage, upstream = _UPSTREAM[base]
+        plan = self.cfg.adapt_plan(
+            variant, seed=self.cfg.adapt.seed + self.seed + 31 * speaker + n)
         key = ("adapted", base, variant, speaker, n)
-        if key not in self._ckpts:
-            if base == "main":
-                upstream = self.aligned("main")
-            elif base == "joint":
-                upstream = self.source("joint_training")
-            elif base == "no_l2":
-                upstream = self.aligned("no_l2")
-            else:
-                raise ConfigError(f"unknown adaptation base '{base}'")
-            plan = self.cfg.adapt_plan(
-                variant, seed=self.cfg.adapt.seed + self.seed + 31 * speaker + n)
-            ckpt, metrics = pl.adapt_untranscribed(
-                upstream, self.adapt_records(speaker, n), plan)
-            self._ckpts[key] = ckpt
-            self._metrics[key] = metrics
-        return self._ckpts[key]
+        return self._stage(key, lambda: pl.adapt_untranscribed(
+            getattr(self, stage)(upstream), self.adapt_records(speaker, n), plan))
 
     # -- evaluation ---------------------------------------------------------
 

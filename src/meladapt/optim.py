@@ -1,4 +1,4 @@
-"""Adam with bias correction over flat arenas, plus the learning-rate schedules.
+"""Adam with bias correction over flat arenas.
 
 `AdamState(params)` packs one trainable set, a {name: Tensor} dict, into
 float64 arenas in the dict's order: the parameters, their gradients, and
@@ -23,12 +23,9 @@ arena without it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 # FastSpeech 2's Adam setting (arXiv 2006.04558). BETA1 > 0.5 also keeps the
 # arena's moments free of -0.0 (see `autodiff`'s module docstring).
@@ -44,10 +41,10 @@ class AdamState:
     """Adam's learning rate, step counter and arenas for one trainable set.
 
     `t` increases by exactly 1 per applied step. `learning_rate` is the rate
-    for the NEXT step; training loops overwrite it from a schedule before
-    each call to `adam_step`. `data`, `grad`, `m` and `v` are the flat
-    arenas; `views(arena)` names a parameter's slice of any of them, and
-    `grads` holds the gradient views that `backward` fills.
+    for the NEXT step; training loops overwrite it from the stage plan's
+    `lr` before each call to `adam_step`. `data`, `grad`, `m` and `v` are
+    the flat arenas; `views(arena)` names a parameter's slice of any of
+    them, and `grads` holds the gradient views that `backward` fills.
     """
 
     def __init__(self, params, learning_rate=1e-4):
@@ -118,29 +115,3 @@ def adam_step(params, grads, state, group_of=None):
         gc += EPSILON
         s /= gc
         data -= s
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """`constant` holds `value`; `inverse_sqrt` ramps linearly over `warmup`
-    steps to value/sqrt(warmup) and then decays as value/sqrt(step).
-    `value` must be finite and not negative; zero is allowed."""
-
-    kind: str = "constant"
-    value: float = 1e-4
-    warmup: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "inverse_sqrt"):
-            raise ConfigError(f"unknown lr schedule kind '{self.kind}'")
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ConfigError(f"learning rate must be finite and >= 0, got {self.value}")
-        if self.kind == "inverse_sqrt" and self.warmup < 1:
-            raise ConfigError("inverse_sqrt schedule needs warmup >= 1")
-
-    def at(self, step):
-        """Learning rate for 1-based step number."""
-        if self.kind == "constant":
-            return self.value
-        step = max(step, 1)
-        return self.value * min(step ** -0.5, step * self.warmup ** -1.5)

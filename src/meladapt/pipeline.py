@@ -3,8 +3,10 @@ adaptation, and synthesis, with bitwise freeze auditing between stages."""
 
 import csv
 import gc
+import math
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .binio import atomic_write
 from .checkpoint import Checkpoint, assert_freeze
 from .errors import ConfigError, NumericError
 from .model import GROUPS, TtsModel
-from .optim import AdamState, LrSchedule, adam_step
+from .optim import AdamState, adam_step
 from .synthdata import MelOnlyUtterance, corpus_hash
 
 STAGE_SOURCE = "source_training"
@@ -50,18 +52,16 @@ RECORDED_ONLY = {(STAGE_ALIGN, "no_l2"): "alignment"}
 
 @dataclass(frozen=True)
 class StagePlan:
-    """One stage run; the `plan` methods below build it from stage settings."""
+    """One stage run: the settings of a `[source]`, `[align]` or `[adapt]`
+    section, each subclass writing their defaults once, and `--variant`."""
 
-    stage: str
+    stage: ClassVar[str]
     steps: int
     batch_size: int
     seed: int
-    schedule: LrSchedule
     variant: str = "main"
 
     def __post_init__(self):
-        if self.stage not in TRAINS:
-            raise ConfigError(f"unknown stage '{self.stage}'")
         if self.variant not in TRAINS[self.stage]:
             raise ConfigError(
                 f"variant '{self.variant}' is not a {self.stage} variant "
@@ -77,39 +77,55 @@ class StagePlan:
         return TRAINS[self.stage][self.variant]
 
 
-# Each stage's settings and their defaults, the one place they are written:
-# the `[source]`, `[align]` and `[adapt]` sections of a run config.
+def _check_rate(value):
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"learning rate must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
-class SourceOpts:
+class SourceOpts(StagePlan):
+    stage = STAGE_SOURCE
     steps: int = 2000
     batch_size: int = 4
     seed: int = 0
     peak_scale: float = 0.02
     warmup: int = 100
 
-    def plan(self, variant="main"):
-        return StagePlan(
-            STAGE_SOURCE, self.steps, self.batch_size, self.seed,
-            LrSchedule(kind="inverse_sqrt", value=self.peak_scale, warmup=self.warmup),
-            variant)
+    def __post_init__(self):
+        super().__post_init__()
+        _check_rate(self.peak_scale)
+        if self.warmup < 1:
+            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
+
+    def lr(self, step):
+        """FastSpeech 2's rate (arXiv 2006.04558) for 1-based `step`: a linear
+        ramp over `warmup` steps to peak_scale/sqrt(warmup), then
+        peak_scale/sqrt(step)."""
+        step = max(step, 1)
+        return self.peak_scale * min(step ** -0.5, step * self.warmup ** -1.5)
 
 
 @dataclass(frozen=True)
-class AlignOpts:
+class AlignOpts(StagePlan):
+    stage = STAGE_ALIGN
     steps: int = 500
     batch_size: int = 4
     seed: int = 1
     learning_rate: float = 1e-3
 
-    def plan(self, variant="main"):
-        return StagePlan(STAGE_ALIGN, self.steps, self.batch_size, self.seed,
-                         LrSchedule(kind="constant", value=self.learning_rate), variant)
+    def __post_init__(self):
+        super().__post_init__()
+        _check_rate(self.learning_rate)
+
+    def lr(self, step):
+        return self.learning_rate
 
 
 @dataclass(frozen=True)
-class AdaptOpts:
+class AdaptOpts(AlignOpts):
+    """Aligning's constant rate, with adaptation's stage and defaults."""
+
+    stage = STAGE_ADAPT
     steps: int = 200
     batch_size: int = 4
     seed: int = 2
@@ -117,21 +133,17 @@ class AdaptOpts:
     # measured equivalent); full-model fine-tuning destabilizes above ~5e-3
     learning_rate: float = 7e-3
 
-    def plan(self, variant="main"):
-        return StagePlan(STAGE_ADAPT, self.steps, self.batch_size, self.seed,
-                         LrSchedule(kind="constant", value=self.learning_rate), variant)
-
 
 def source_plan(variant="main", **settings):
-    return SourceOpts(**settings).plan(variant)
+    return SourceOpts(variant=variant, **settings)
 
 
 def align_plan(variant="main", **settings):
-    return AlignOpts(**settings).plan(variant)
+    return AlignOpts(variant=variant, **settings)
 
 
 def adapt_plan(variant="main", **settings):
-    return AdaptOpts(**settings).plan(variant)
+    return AdaptOpts(variant=variant, **settings)
 
 
 # -- generic loop ----------------------------------------------------------
@@ -185,7 +197,7 @@ def _run_stage(model, plan, items, loss_fn, metrics):
                 )
             state.grad.fill(0.0)
             backward(total, tape)
-            state.learning_rate = plan.schedule.at(state.t + 1)
+            state.learning_rate = plan.lr(state.t + 1)
             adam_step(trainable, state.grads, state, group_of=labels.__getitem__)
     finally:
         if gc_was_enabled:
@@ -358,10 +370,6 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
     if len(speakers) != 1:
         raise ConfigError(f"adaptation set spans speakers {speakers}, expected one")
     target = speakers[0]
-
-    if plan.steps == 0:
-        return Checkpoint(config=aligned_ckpt.config, params=aligned_ckpt.params,
-                          provenance=dict(aligned_ckpt.provenance)), []
 
     model = aligned_ckpt.to_model()
     trained = set(aligned_ckpt.provenance.get("trained_speakers", []))

@@ -39,8 +39,11 @@ class OracleSpec:
     noise_sigma: float = 0.01
 
     def __post_init__(self):
+        for key in ("seed", "phoneme_vocab_size", "mel_dim"):
+            if type(getattr(self, key)) is not int:
+                raise ConfigError(f"{key} must be an int, got {getattr(self, key)!r}")
         if self.seed < 0:
-            raise ConfigError(f"oracle seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.phoneme_vocab_size < 1 or self.mel_dim < 1:
             raise ConfigError("vocab and mel sizes must be positive")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

@@ -124,6 +124,16 @@ class TestPipelineCommands:
         assert "learning rate" in capsys.readouterr().err
         assert not (tmp_path / "never.ckpt").exists()
 
+    def test_adapt_zero_steps_still_adapts(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(TINY_CFG.replace("[adapt]\nsteps = 3", "[adapt]\nsteps = 0"))
+        out = tmp_path / "zero.ckpt"
+        assert cli.main(["adapt", "--ckpt", str(workdir / "aligned.ckpt"),
+                         "--corpus", str(workdir / "data"), "--speaker", "3",
+                         "--n-utts", "4", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "consumed fields: []" in capsys.readouterr().out
+        assert load_checkpoint(out).provenance["adapted_speaker"] == 3
+
     def test_synthesize_writes_mel_container(self, workdir, tmp_path):
         text = tmp_path / "text.txt"
         text.write_text("1 2 3 4 2\n")
@@ -311,6 +321,21 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out.corpus")])
         assert code == 5
         assert "Traceback" not in capsys.readouterr().err
+
+    # the tiny config's oracle has vocabulary 8 and mel_dim 6
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.5), ("seed", True), ("mel_dim", 6.0), ("phoneme_vocab_size", 8.0)])
+    def test_non_int_corpus_spec_is_exit_5(self, workdir, tmp_path, key, value, capsys):
+        meta, arrays = binio.read_container(workdir / "data" / "adapt_3_eval.corpus",
+                                            sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
+        meta["spec"][key] = value
+        bad = tmp_path / "bad.corpus"
+        binio.write_container(bad, sd.CORPUS_MAGIC, sd.CORPUS_VERSION, meta, arrays)
+        code = cli.main(["eval", "--arms", str(workdir / "adapted.ckpt"),
+                         "--corpus", str(bad), "--report", str(tmp_path / "r.csv")])
+        assert code == 5
+        assert f"{key} must be an int" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_subcommand_raises_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -112,6 +112,15 @@ def test_removed_key_exits_2(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "d").exists()
 
 
+def test_variant_key_exits_2(tmp_path, capsys):
+    # a stage's variant is the command line's --variant, not a config key
+    p = tmp_path / "variant.cfg"
+    p.write_text("[align]\nvariant = no_l2\n")
+    assert cli.main(["gen-corpus", "--config", str(p), "--out", str(tmp_path / "d")]) == 2
+    assert "unknown key 'variant' in [align]" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("oracle", "seed", "-1"), ("source", "seed", "-1"), ("align", "seed", "-1"),
     ("adapt", "seed", "-1"), ("oracle", "noise_sigma", "nan"),

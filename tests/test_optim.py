@@ -3,9 +3,10 @@ import pytest
 
 from meladapt import autodiff as ad
 from meladapt import optim
+from meladapt import pipeline as pl
 from meladapt.autodiff import Tape, Tensor
 from meladapt.errors import ConfigError, NumericError, ShapeError
-from meladapt.optim import AdamState, LrSchedule, adam_step
+from meladapt.optim import AdamState, adam_step
 
 
 def step(params, grads, state, **kwargs):
@@ -215,32 +216,42 @@ def test_missing_grad_key_rejected():
     assert state.t == 0
 
 
+# each stage plan's learning rate by kind: source warms up, then decays as
+# 1/sqrt(step); align and adapt hold theirs constant
+RATE = {"constant": lambda value, warmup: pl.AlignOpts(learning_rate=value),
+        "inverse_sqrt": lambda value, warmup: pl.SourceOpts(peak_scale=value, warmup=warmup)}
+
+
 class TestSchedule:
     def test_constant(self):
-        s = LrSchedule(kind="constant", value=2e-4)
-        assert s.at(1) == s.at(10_000) == 2e-4
+        for plan in (pl.AlignOpts(learning_rate=2e-4), pl.AdaptOpts(learning_rate=2e-4)):
+            assert plan.lr(1) == plan.lr(10_000) == 2e-4
 
     def test_inverse_sqrt_warmup_then_decay(self):
-        s = LrSchedule(kind="inverse_sqrt", value=1.0, warmup=100)
+        s = pl.SourceOpts(peak_scale=1.0, warmup=100)
         # linear ramp during warmup
-        assert s.at(50) == pytest.approx(50 * 100 ** -1.5)
+        assert s.lr(50) == pytest.approx(50 * 100 ** -1.5)
         # peak at warmup boundary, then decays as step^-1/2
-        assert s.at(100) == pytest.approx(100 ** -0.5)
-        assert s.at(400) == pytest.approx(400 ** -0.5)
-        assert s.at(100) > s.at(101) > s.at(400)
+        assert s.lr(100) == pytest.approx(100 ** -0.5)
+        assert s.lr(400) == pytest.approx(400 ** -0.5)
+        assert s.lr(100) > s.lr(101) > s.lr(400)
 
     @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-12])
     def test_nonfinite_or_negative_value_rejected(self, kind, value):
         with pytest.raises(ConfigError, match="learning rate") as e:
-            LrSchedule(kind=kind, value=value, warmup=10)
+            RATE[kind](value, 10)
         assert e.value.exit_code == 2
 
     def test_zero_value_allowed(self):
-        assert LrSchedule(kind="constant", value=0.0).at(5) == 0.0
-        assert LrSchedule(kind="inverse_sqrt", value=0.0, warmup=10).at(5) == 0.0
+        assert RATE["constant"](0.0, 10).lr(5) == 0.0
+        assert RATE["inverse_sqrt"](0.0, 10).lr(5) == 0.0
+
+    def test_warmup_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="warmup must be >= 1"):
+            pl.SourceOpts(warmup=0)
 
     def test_monotone_after_warmup(self):
-        s = LrSchedule(kind="inverse_sqrt", value=0.5, warmup=10)
-        vals = [s.at(i) for i in range(10, 200)]
+        s = pl.SourceOpts(peak_scale=0.5, warmup=10)
+        vals = [s.lr(i) for i in range(10, 200)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))

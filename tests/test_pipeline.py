@@ -14,7 +14,6 @@ from meladapt import pipeline as pl
 from meladapt import synthdata as sd
 from meladapt.autodiff import Tensor
 from meladapt.errors import ConfigError, FreezeViolation, NumericError
-from meladapt.optim import LrSchedule
 
 SPEC = sd.OracleSpec(seed=1, phoneme_vocab_size=6, mel_dim=4, noise_sigma=0.01)
 CFG = m.ModelConfig(phoneme_vocab_size=6, hidden_dim=8, n_heads=2, ffn_filter=12,
@@ -58,8 +57,12 @@ TRAINABLE = [
 ]
 
 
+STAGE_CLASS = {pl.STAGE_SOURCE: pl.SourceOpts, pl.STAGE_ALIGN: pl.AlignOpts,
+               pl.STAGE_ADAPT: pl.AdaptOpts}
+
+
 def _plan(stage, variant):
-    return pl.StagePlan(stage, 1, 4, 0, LrSchedule(), variant)
+    return STAGE_CLASS[stage](steps=1, variant=variant)
 
 
 class TestStagePlan:
@@ -75,12 +78,14 @@ class TestStagePlan:
             "ConditionalLN", "SpeakerTable"}
 
     def test_wrong_trainable_set_rejected(self):
-        # the set follows from stage and variant; a plan cannot declare another
+        # the set follows from stage and variant; a plan cannot declare
+        # another, nor rename its stage
         with pytest.raises(TypeError):
-            pl.StagePlan(pl.STAGE_ALIGN, 1, 4, 0, LrSchedule(),
-                         trainable_groups=frozenset({"DecoderCore"}))
+            pl.AlignOpts(trainable_groups=frozenset({"DecoderCore"}))
         with pytest.raises(TypeError):
             replace(pl.align_plan(steps=1), trainable_groups=frozenset({"DecoderCore"}))
+        with pytest.raises(TypeError):
+            replace(pl.align_plan(steps=1), stage=pl.STAGE_ADAPT)
 
     @pytest.mark.parametrize("stage,variant,groups", TRAINABLE)
     def test_trainable_groups_per_stage_and_variant(self, stage, variant, groups):
@@ -94,7 +99,7 @@ class TestStagePlan:
 
     @pytest.mark.parametrize("stage,variant", [
         (pl.STAGE_SOURCE, "no_l2"), (pl.STAGE_ALIGN, "joint_training"),
-        (pl.STAGE_ADAPT, "no_l2"), ("mystery_stage", "main")])
+        (pl.STAGE_ADAPT, "no_l2")])
     def test_variant_of_another_stage_rejected(self, stage, variant):
         with pytest.raises(ConfigError):
             _plan(stage, variant)
@@ -244,14 +249,23 @@ class TestAlignMelEncoder:
 
 
 class TestAdaptUntranscribed:
-    def test_zero_steps_bitwise_identity(self, aligned_ckpt, adapt_records, tmp_path):
+    def test_zero_steps_fills_zero_shot_row(self, aligned_ckpt, adapt_records):
+        # no step runs, yet the output is an adaptation: its provenance and
+        # the target's zero-shot row, and nothing else changed
         out, metrics = pl.adapt_untranscribed(aligned_ckpt, adapt_records,
                                               pl.adapt_plan(steps=0))
+        target = adapt_records[0].speaker_id
+        trained = aligned_ckpt.provenance["trained_speakers"]
         assert metrics == []
-        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        cp.save_checkpoint(aligned_ckpt, p1)
-        cp.save_checkpoint(out, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert out.provenance["stage"] == pl.STAGE_ADAPT
+        assert out.provenance["field_audit"] == []
+        assert out.provenance["adapted_speaker"] == target
+        assert out.provenance["trained_speakers"] == sorted(trained + [target])
+        assert cp.param_diff(aligned_ckpt, out) == ["speaker_table"]
+        before, after = aligned_ckpt.params["speaker_table"], out.params["speaker_table"]
+        assert np.array_equal(after[target], pl._zero_shot_row(before, trained))
+        others = [i for i in range(len(before)) if i != target]
+        assert np.array_equal(after[others], before[others])
 
     def test_diff_confined_to_cln_and_row(self, aligned_ckpt, adapt_records):
         out, _ = pl.adapt_untranscribed(aligned_ckpt, adapt_records,

@@ -39,7 +39,7 @@ class Checkpoint:
     def to_model(self) -> TtsModel:
         """A model whose parameters share this checkpoint's read-only arrays;
         a stage's trainable set moves into Adam's arenas when it starts."""
-        return TtsModel.from_arrays(self.config, self.params)
+        return TtsModel(self.config, self.params)
 
 
 def _check_registry(config, params):

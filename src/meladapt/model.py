@@ -3,6 +3,9 @@
 One flat parameter registry covers the whole system, including the mel
 encoder, so that freezing and checkpointing can work on names alone. Every
 parameter belongs to exactly one group, declared with it in `param_specs`.
+A model has one constructor, `TtsModel(config, arrays)`, which wraps the
+arrays without a copy: `init_params` draws fresh ones, and a checkpoint's
+`to_model` passes its own.
 """
 
 from dataclasses import dataclass, fields
@@ -47,7 +50,7 @@ class ModelConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, int) or v <= 0:
+            if type(v) is not int or v <= 0:
                 raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
         if self.hidden_dim % self.n_heads != 0:
             raise ConfigError(
@@ -192,30 +195,27 @@ def _draw(rng, shape, init):
     return np.zeros(shape) if kind == "zeros" else np.ones(shape)
 
 
-class TtsModel:
-    """Owns the parameter registry; all forward helpers below take the model."""
+def init_params(config: ModelConfig, seed: int) -> dict:
+    """A fresh initialisation {name: float64 array}, drawn in registry order
+    from one rng seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    return {name: _draw(rng, shape, init) for name, shape, _, init in param_specs(config)}
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
-        rng = np.random.default_rng(seed)
+
+class TtsModel:
+    """Owns the parameter registry; all forward helpers below take the model.
+
+    Each parameter wraps its array of `arrays` (name -> float64 ndarray)
+    without a copy, in registry order, so a read-only array (a checkpoint's)
+    raises `ValueError` on any write to it. Names, shapes and dtypes are the
+    caller's to check; `Checkpoint` checks them at construction.
+    """
+
+    def __init__(self, config: ModelConfig, arrays: dict):
         self.config = config
         self.params: dict[str, Tensor] = {
-            name: Tensor(_draw(rng, shape, init), requires_grad=True)
-            for name, shape, _, init in param_specs(config)
+            name: Tensor(arrays[name], requires_grad=True) for name in param_shapes(config)
         }
-
-    @classmethod
-    def from_arrays(cls, config: ModelConfig, arrays: dict) -> "TtsModel":
-        """Model over `arrays` (name -> float64 ndarray), in registry order.
-
-        Each parameter wraps its array without a copy, so a read-only array
-        (a checkpoint's) raises `ValueError` on any write to it. Draws no
-        initialisation; names, shapes and dtypes are the caller's to check.
-        """
-        model = cls.__new__(cls)
-        model.config = config
-        model.params = {name: Tensor(arrays[name], requires_grad=True)
-                        for name in param_shapes(config)}
-        return model
 
     # -- bookkeeping -------------------------------------------------------
 

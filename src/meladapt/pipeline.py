@@ -1,5 +1,11 @@
 """Staged training: source model, mel-encoder aligning, untranscribed
-adaptation, and synthesis, with bitwise freeze auditing between stages."""
+adaptation, and synthesis.
+
+Every stage maps a start checkpoint to an output checkpoint through one
+runner, `_train`, which audits the output bitwise against its start. Source
+training starts from a fresh initialisation, aligning from the source
+checkpoint, and adaptation from the aligned one.
+"""
 
 import csv
 import gc
@@ -17,7 +23,7 @@ from .autodiff import Tape, Tensor, backward
 from .binio import atomic_write
 from .checkpoint import Checkpoint, assert_freeze
 from .errors import ConfigError, NumericError
-from .model import GROUPS, TtsModel
+from .model import GROUPS
 from .optim import AdamState, adam_step
 from .synthdata import MelOnlyUtterance, corpus_hash
 
@@ -146,66 +152,6 @@ def adapt_plan(variant="main", **settings):
     return AdaptOpts(variant=variant, **settings)
 
 
-# -- generic loop ----------------------------------------------------------
-
-
-def _run_stage(model, plan, items, loss_fn, metrics):
-    """Shared training loop: per-item losses accumulate on one tape per step.
-
-    `loss_fn(model, item, key)` gets the item's position in `items` as `key`.
-    Metrics for a step are recorded before its update, so step 0 describes
-    the incoming model exactly. The trainable set is packed into one Adam
-    arena for the stage; `loss_fn` must not rebind a parameter's `data`.
-    A frozen parameter of a model built by `Checkpoint.to_model` is the
-    checkpoint's read-only array, so writing into it raises `ValueError`.
-    The cyclic garbage collector is paused for the steps, since tape records
-    hold no reference cycles, and the caller's setting is restored.
-    """
-    if not items:
-        raise ConfigError(f"stage {plan.stage} has no training records")
-    model.set_trainable(plan.trainable_groups)
-    trainable = model.trainable_params()
-    if not trainable:
-        raise ConfigError(f"stage {plan.stage} trains no parameters")
-    state = AdamState(trainable)
-    left_out = RECORDED_ONLY.get((plan.stage, plan.variant))
-    labels = mm.param_groups(model.config)
-    rng = np.random.default_rng(plan.seed)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for step in range(plan.steps):
-            picks = rng.integers(0, len(items), size=plan.batch_size)
-            sums = {}
-            with Tape() as tape:
-                for i in picks:
-                    for name, part in loss_fn(model, items[i], int(i)).items():
-                        sums[name] = part if name not in sums else ad.add(sums[name], part)
-                total = None
-                for name, part in sums.items():
-                    if name == left_out:
-                        continue
-                    term = ad.smul(part, 1 / plan.batch_size)
-                    total = term if total is None else ad.add(total, term)
-            for name, part in sums.items():
-                metrics.append((step, plan.stage, name, part.item() / plan.batch_size))
-            metrics.append((step, plan.stage, "total", total.item()))
-            if not np.isfinite(total.item()):
-                raise NumericError(
-                    f"non-finite loss at step {step} of {plan.stage}; parameters "
-                    f"kept at their last finite state"
-                )
-            state.grad.fill(0.0)
-            backward(total, tape)
-            state.learning_rate = plan.lr(state.t + 1)
-            adam_step(trainable, state.grads, state, group_of=labels.__getitem__)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        for t in trainable.values():
-            t.grad = None
-
-
 # -- per-stage loss builders ----------------------------------------------
 
 
@@ -285,31 +231,83 @@ def _adapt_losses(model, record, key, cache):
 # -- stage entry points ----------------------------------------------------
 
 
-def _train(model, plan, items, loss_fn, before, provenance, rows=None):
-    """Run `plan` on `model` and snapshot the result with `provenance`.
+def _train(start, plan, items, loss_fn, provenance, rows=None):
+    """Run `plan` on a model of the checkpoint `start`; returns the audited
+    output checkpoint and the metrics.
 
-    A non-finite loss re-raises with `last_good`, the model as it stood,
-    attached. The snapshot is audited bitwise against `before`: only the
-    groups the plan trains may change, and of a tensor named in `rows`
-    ({name: row indices}) only those rows. Returns (checkpoint, metrics).
+    Per-item losses accumulate on one tape per step; `loss_fn(model, item,
+    key)` gets the item's position in `items` as `key`. Metrics for a step
+    are recorded before its update, so step 0 describes `start` exactly. The
+    trainable set is packed into one Adam arena; `loss_fn` must not rebind a
+    parameter's `data`, and a frozen one is `start`'s read-only array. The
+    cyclic garbage collector is paused for the steps (tape records hold no
+    reference cycles) and restored after. The output's provenance is
+    `start`'s, updated with the plan's stage and variant and then
+    `provenance`. A non-finite loss re-raises with `last_good`, the model as
+    it stood, attached. The output is audited bitwise against `start`: only
+    the groups the plan trains may change, and of a tensor named in `rows`
+    ({name: row indices}) only those rows.
     """
+    if not items:
+        raise ConfigError(f"stage {plan.stage} has no training records")
+    model = start.to_model()
+    model.set_trainable(plan.trainable_groups)
+    trainable = model.trainable_params()
+    state = AdamState(trainable)
+    left_out = RECORDED_ONLY.get((plan.stage, plan.variant))
+    labels = mm.param_groups(model.config)
+    provenance = {**start.provenance, "stage": plan.stage, "variant": plan.variant,
+                  **provenance}
     metrics = []
+    rng = np.random.default_rng(plan.seed)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        _run_stage(model, plan, items, loss_fn, metrics)
+        for step in range(plan.steps):
+            picks = rng.integers(0, len(items), size=plan.batch_size)
+            sums = {}
+            with Tape() as tape:
+                for i in picks:
+                    for name, part in loss_fn(model, items[i], int(i)).items():
+                        sums[name] = part if name not in sums else ad.add(sums[name], part)
+                total = None
+                for name, part in sums.items():
+                    if name == left_out:
+                        continue
+                    term = ad.smul(part, 1 / plan.batch_size)
+                    total = term if total is None else ad.add(total, term)
+            for name, part in sums.items():
+                metrics.append((step, plan.stage, name, part.item() / plan.batch_size))
+            metrics.append((step, plan.stage, "total", total.item()))
+            if not np.isfinite(total.item()):
+                raise NumericError(
+                    f"non-finite loss at step {step} of {plan.stage}; parameters "
+                    f"kept at their last finite state"
+                )
+            state.grad.fill(0.0)
+            backward(total, tape)
+            state.learning_rate = plan.lr(state.t + 1)
+            adam_step(trainable, state.grads, state, group_of=labels.__getitem__)
     except NumericError as exc:
         exc.last_good = Checkpoint.from_model(
             model, provenance={**provenance, "aborted": True})
         raise
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        for t in trainable.values():
+            t.grad = None
     out = Checkpoint.from_model(model, provenance=provenance)
     rows = rows or {}
-    allowed = {n for n, g in mm.param_groups(model.config).items()
+    allowed = {n for n, g in labels.items()
                if g in plan.trainable_groups and n not in rows}
-    assert_freeze(before, out, allowed, allowed_rows=rows, stage=plan.stage)
+    assert_freeze(start, out, allowed, allowed_rows=rows, stage=plan.stage)
     return out, metrics
 
 
 def train_source(corpus, config, plan):
-    """Stage one: train everything except the mel encoder on transcribed data.
+    """Stage one: train everything except the mel encoder on transcribed data,
+    starting from a fresh initialisation drawn with the plan's seed.
 
     Joint-training variant folds the mel encoder in, with the alignment loss.
     """
@@ -319,33 +317,22 @@ def train_source(corpus, config, plan):
     speakers = train.speakers()
     if len(speakers) < 2:
         raise ConfigError("source training needs at least two speakers")
-    model = TtsModel(config, seed=plan.seed)
-    provenance = {
-        "stage": STAGE_SOURCE, "variant": plan.variant, "steps": plan.steps,
-        "seed": plan.seed, "trained_speakers": speakers,
-        "corpus_hash": corpus_hash(corpus),
-    }
-    # the audit's snapshot wraps the initial arrays: `_run_stage` moves the
-    # trainable set into Adam's arenas, and the checkpoint makes every
-    # array read-only, so nothing writes into them again
-    before = Checkpoint(config, {n: t.data for n, t in model.params.items()})
+    provenance = {"steps": plan.steps, "seed": plan.seed, "trained_speakers": speakers,
+                  "corpus_hash": corpus_hash(corpus)}
     joint = plan.variant == "joint_training"
-    return _train(model, plan, train.utterances,
+    return _train(Checkpoint(config, mm.init_params(config, plan.seed)), plan,
+                  train.utterances,
                   lambda m, u, _: _source_losses(m, u, with_alignment=joint),
-                  before, provenance)
+                  provenance)
 
 
 def align_mel_encoder(source_ckpt, corpus, plan):
     """Stage two: fit the mel encoder to the frozen phoneme-side latents."""
     if plan.stage != STAGE_ALIGN:
         raise ConfigError(f"expected a {STAGE_ALIGN} plan, got {plan.stage}")
-    provenance = {
-        **{k: v for k, v in source_ckpt.provenance.items() if k != "stage"},
-        "stage": STAGE_ALIGN, "variant": plan.variant,
-        "align_steps": plan.steps, "align_seed": plan.seed,
-    }
-    return _train(source_ckpt.to_model(), plan, corpus.train_split().utterances,
-                  partial(_align_losses, cache={}), source_ckpt, provenance)
+    return _train(source_ckpt, plan, corpus.train_split().utterances,
+                  partial(_align_losses, cache={}),
+                  {"align_steps": plan.steps, "align_seed": plan.seed})
 
 
 def adapt_untranscribed(aligned_ckpt, records, plan):
@@ -353,7 +340,8 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
 
     Inputs carrying transcripts are rejected outright; the loop reads records
     through an access-auditing proxy and the consumed field names land in the
-    output provenance.
+    output provenance. A target the checkpoint never trained starts from its
+    zero-shot row.
     """
     if plan.stage != STAGE_ADAPT:
         raise ConfigError(f"expected a {STAGE_ADAPT} plan, got {plan.stage}")
@@ -371,24 +359,22 @@ def adapt_untranscribed(aligned_ckpt, records, plan):
         raise ConfigError(f"adaptation set spans speakers {speakers}, expected one")
     target = speakers[0]
 
-    model = aligned_ckpt.to_model()
+    start = aligned_ckpt
     trained = set(aligned_ckpt.provenance.get("trained_speakers", []))
     if trained and target not in trained:
-        # a filled copy: the model shares the checkpoint's read-only table
+        # a filled copy of the table; every other array is the input's own
         table = aligned_ckpt.params["speaker_table"].copy()
         table[target] = _zero_shot_row(table, trained)
-        model.params["speaker_table"] = Tensor(table, requires_grad=True)
+        start = Checkpoint(aligned_ckpt.config,
+                           {**aligned_ckpt.params, "speaker_table": table},
+                           aligned_ckpt.provenance)
 
     seen_fields = set()
     audited = [_AuditedRecord(r, seen_fields) for r in records]
-    provenance = {
-        **{k: v for k, v in aligned_ckpt.provenance.items() if k != "stage"},
-        "stage": STAGE_ADAPT, "variant": plan.variant,
-        "adapt_steps": plan.steps, "adapt_seed": plan.seed,
-        "adapted_speaker": target, "n_adapt_utterances": len(records),
-    }
-    out, metrics = _train(model, plan, audited, partial(_adapt_losses, cache={}),
-                          aligned_ckpt, provenance, {"speaker_table": [target]})
+    provenance = {"adapt_steps": plan.steps, "adapt_seed": plan.seed,
+                  "adapted_speaker": target, "n_adapt_utterances": len(records)}
+    out, metrics = _train(start, plan, audited, partial(_adapt_losses, cache={}),
+                          provenance, {"speaker_table": [target]})
 
     banned = seen_fields - {"mel", "speaker_id", "utterance_id"}
     if banned:

@@ -46,8 +46,10 @@ class OracleSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.phoneme_vocab_size < 1 or self.mel_dim < 1:
             raise ConfigError("vocab and mel sizes must be positive")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        sigma = self.noise_sigma
+        if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
+                or not (math.isfinite(sigma) and sigma >= 0)):
+            raise ConfigError(f"noise_sigma must be a finite real >= 0, got {sigma!r}")
 
 
 def _rng(spec, *key):

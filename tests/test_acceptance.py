@@ -26,7 +26,7 @@ from meladapt.checkpoint import load_checkpoint, param_diff, save_checkpoint
 from meladapt.config import desk_config
 from meladapt.errors import ConfigError, FreezeViolation
 from meladapt.gradcheck import grad_check
-from meladapt.model import ModelConfig, TtsModel, param_groups
+from meladapt.model import ModelConfig, TtsModel, init_params, param_groups
 
 REPO = Path(__file__).resolve().parent.parent
 REF = json.loads((REPO / "configs" / "reference_desk.json").read_text())
@@ -116,7 +116,7 @@ def test_criterion_1_gradient_suite():
     checked = 0
     for seed in range(n_seeds):
         rng = np.random.default_rng(1000 + seed)
-        model = TtsModel(cfg, seed=seed)
+        model = TtsModel(cfg, init_params(cfg, seed))
         # give conditional LN live weights so its gradients are exercised
         for name, p in model.params.items():
             if ".cln" in name and name.split(".")[-1].startswith("w_"):
@@ -335,7 +335,7 @@ def test_criterion_8_determinism_serialization(tmp_path):
     assert filecmp.cmp(tmp_path / "a.ckpt", tmp_path / "c.ckpt", shallow=False)
 
     rng = np.random.default_rng(0)
-    model = TtsModel(cfg, seed=0)
+    model = TtsModel(cfg, init_params(cfg, 0))
     h = mm.encode_phonemes(model, [1, 2, 3])
     same = mm.length_regulate(h, np.array([1, 1, 1]))
     np.testing.assert_array_equal(same.data, h.data)

@@ -202,7 +202,8 @@ class TestExitCodes:
                          "--report", str(tmp_path / "r.csv")])
         assert code == 5
 
-    @pytest.mark.parametrize("corrupt", [{"mystery_key": 1}, {"hidden_dim": -1}])
+    @pytest.mark.parametrize("corrupt", [{"mystery_key": 1}, {"hidden_dim": -1},
+                                         {"n_heads": True}])
     def test_corrupt_model_config_is_exit_5(self, workdir, tmp_path, corrupt, capsys):
         meta, arrays = binio.read_container(workdir / "source.ckpt",
                                             CKPT_MAGIC, CKPT_VERSION)
@@ -324,7 +325,8 @@ class TestExitCodes:
 
     # the tiny config's oracle has vocabulary 8 and mel_dim 6
     @pytest.mark.parametrize("key, value", [
-        ("seed", 1.5), ("seed", True), ("mel_dim", 6.0), ("phoneme_vocab_size", 8.0)])
+        ("seed", 1.5), ("seed", True), ("mel_dim", 6.0), ("phoneme_vocab_size", 8.0),
+        ("noise_sigma", True)])
     def test_non_int_corpus_spec_is_exit_5(self, workdir, tmp_path, key, value, capsys):
         meta, arrays = binio.read_container(workdir / "data" / "adapt_3_eval.corpus",
                                             sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
@@ -334,7 +336,8 @@ class TestExitCodes:
         code = cli.main(["eval", "--arms", str(workdir / "adapted.ckpt"),
                          "--corpus", str(bad), "--report", str(tmp_path / "r.csv")])
         assert code == 5
-        assert f"{key} must be an int" in capsys.readouterr().err
+        kind = "a finite real" if key == "noise_sigma" else "an int"
+        assert f"{key} must be {kind}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_subcommand_raises_usage_error(self):

@@ -27,8 +27,8 @@ def valid(tmp_path_factory):
                          mel_dim=TINY.mel_dim)
     corpus = sd.gen_corpus(spec, 2, 2)
     paths = {kind: root / f"valid.{kind}" for kind in LOADERS}
-    cp.save_checkpoint(cp.Checkpoint.from_model(m.TtsModel(TINY, seed=1),
-                                                provenance={"stage": "source_training"}),
+    model = m.TtsModel(TINY, m.init_params(TINY, 1))
+    cp.save_checkpoint(cp.Checkpoint.from_model(model, provenance={"stage": "source_training"}),
                        paths["checkpoint"])
     sd.save_corpus(corpus, paths["corpus"])
     sd.save_corpus(sd.strip_transcripts(corpus, 1), paths["mel_only_corpus"], spec=spec)

@@ -12,7 +12,7 @@ from tests.test_model import TINY
 
 @pytest.fixture
 def tiny():
-    return m.TtsModel(TINY, seed=42)
+    return m.TtsModel(TINY, m.init_params(TINY, 42))
 
 
 class TestMelEncoderForward:

@@ -16,7 +16,7 @@ TINY = m.ModelConfig(
 
 @pytest.fixture
 def tiny():
-    return m.TtsModel(TINY, seed=42)
+    return m.TtsModel(TINY, m.init_params(TINY, 42))
 
 
 class TestConfig:
@@ -89,8 +89,8 @@ class TestPartition:
             shapes["mel_out.b"] = (1,)
 
     def test_build_deterministic(self):
-        a = m.TtsModel(TINY, seed=7)
-        b = m.TtsModel(TINY, seed=7)
+        a = m.TtsModel(TINY, m.init_params(TINY, 7))
+        b = m.TtsModel(TINY, m.init_params(TINY, 7))
         assert all(np.array_equal(a.params[n].data, b.params[n].data) for n in a.params)
 
 

@@ -130,7 +130,7 @@ class TestTrainSource:
         _, metrics = pl.train_source(corpus, CFG, plan)
         step0 = {n: v for s, st, n, v in metrics if s == 0}
         # replicate the first batch against an untouched model
-        model = m.TtsModel(CFG, seed=plan.seed)
+        model = m.TtsModel(CFG, m.init_params(CFG, plan.seed))
         items = corpus.train_split().utterances
         rng = np.random.default_rng(plan.seed)
         picks = rng.integers(0, len(items), size=plan.batch_size)
@@ -148,7 +148,7 @@ class TestTrainSource:
         assert cp.param_diff(source_ckpt, again) == []
 
     def test_mel_encoder_untouched(self, corpus, source_ckpt):
-        fresh = cp.Checkpoint.from_model(m.TtsModel(CFG, seed=0))
+        fresh = cp.Checkpoint.from_model(m.TtsModel(CFG, m.init_params(CFG, 0)))
         changed = cp.param_diff(fresh, source_ckpt)
         assert changed, "nothing trained at all"
         assert not any(n.startswith("melenc.") for n in changed)
@@ -156,31 +156,6 @@ class TestTrainSource:
     def test_seed_changes_result(self, corpus, source_ckpt):
         other, _ = pl.train_source(corpus, CFG, pl.source_plan(steps=30, seed=9))
         assert cp.param_diff(source_ckpt, other) != []
-
-    def test_audit_snapshot_wraps_initial_arrays(self, corpus, monkeypatch):
-        # the freeze audit's `before` holds the initialised model's own
-        # arrays, read-only and apart from Adam's arenas
-        states, audited = [], []
-        real_state, real_audit = pl.AdamState, pl.assert_freeze
-
-        def state_spy(*args, **kwargs):
-            states.append(real_state(*args, **kwargs))
-            return states[-1]
-
-        def audit_spy(before, *args, **kwargs):
-            audited.append(before)
-            return real_audit(before, *args, **kwargs)
-
-        monkeypatch.setattr(pl, "AdamState", state_spy)
-        monkeypatch.setattr(pl, "assert_freeze", audit_spy)
-        plan = pl.source_plan(steps=2)
-        pl.train_source(corpus, CFG, plan)
-        (state,), (before,) = states, audited
-        fresh = m.TtsModel(CFG, seed=plan.seed)
-        for name, arr in before.params.items():
-            assert not arr.flags.writeable, name
-            assert not np.shares_memory(arr, state.data), name
-            assert arr.tobytes() == fresh.params[name].data.tobytes(), name
 
     def test_needs_two_speakers(self):
         solo = sd.gen_corpus(SPEC, 1, 6)
@@ -539,10 +514,64 @@ class TestStageLoop:
         with pytest.raises(AssertionError, match="detached"):
             run(corpus, source_ckpt, aligned_ckpt, adapt_records)
 
-    def test_gradients_released_after_stage(self, corpus):
-        model = m.TtsModel(CFG, seed=0)
-        pl._run_stage(model, pl.source_plan(steps=1), corpus.train_split().utterances,
-                      lambda mdl, u, _: pl._source_losses(mdl, u), [])
+    @pytest.mark.parametrize("stage", ["source", "align", "adapt"])
+    def test_audit_snapshot_wraps_initial_arrays(self, stage, corpus, source_ckpt,
+                                                 aligned_ckpt, adapt_records, monkeypatch):
+        # the freeze audit's `before` is the stage's start checkpoint, whose
+        # arrays are read-only and apart from Adam's arenas
+        states, audited = [], []
+        real_state, real_audit = pl.AdamState, pl.assert_freeze
+
+        def state_spy(*args, **kwargs):
+            states.append(real_state(*args, **kwargs))
+            return states[-1]
+
+        def audit_spy(before, *args, **kwargs):
+            audited.append(before)
+            return real_audit(before, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "AdamState", state_spy)
+        monkeypatch.setattr(pl, "assert_freeze", audit_spy)
+        if stage == "source":
+            plan = pl.source_plan(steps=2)
+            pl.train_source(corpus, CFG, plan)
+        elif stage == "align":
+            pl.align_mel_encoder(source_ckpt, corpus, pl.align_plan(steps=2))
+        else:
+            pl.adapt_untranscribed(aligned_ckpt, adapt_records, pl.adapt_plan(steps=2))
+        (state,), (before,) = states, audited
+        for name, arr in before.params.items():
+            assert not arr.flags.writeable, name
+            assert not np.shares_memory(arr, state.data), name
+        if stage == "source":
+            fresh = m.init_params(CFG, plan.seed)
+            for name, arr in before.params.items():
+                assert arr.tobytes() == fresh[name].tobytes(), name
+        elif stage == "align":
+            assert before is source_ckpt
+        else:
+            # speaker 3 is untrained, so adaptation starts from its zero-shot row
+            trained = aligned_ckpt.provenance["trained_speakers"]
+            assert 3 not in trained
+            table = aligned_ckpt.params["speaker_table"]
+            filled = table.copy()
+            filled[3] = table[sorted(trained)].mean(axis=0)
+            assert before.params["speaker_table"].tobytes() == filled.tobytes()
+            for name, arr in before.params.items():
+                if name != "speaker_table":
+                    assert np.shares_memory(arr, aligned_ckpt.params[name]), name
+
+    def test_gradients_released_after_stage(self, corpus, monkeypatch):
+        models = []
+        real = cp.Checkpoint.to_model
+
+        def spy(ckpt):
+            models.append(real(ckpt))
+            return models[-1]
+
+        monkeypatch.setattr(cp.Checkpoint, "to_model", spy)
+        pl.train_source(corpus, CFG, pl.source_plan(steps=1))
+        (model,) = models
         assert all(t.grad is None for t in model.params.values())
 
     @staticmethod

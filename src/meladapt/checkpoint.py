@@ -1,6 +1,7 @@
 """Checkpoint snapshot, byte-exact serialization, and freeze auditing."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -16,7 +17,8 @@ CKPT_VERSION = 1
 class Checkpoint:
     """An immutable snapshot. Construction checks `params` against the
     registry, makes every array read-only and stores them in a read-only
-    mapping, so models built by `to_model` share them without a copy."""
+    mapping, so models built by `to_model` share them without a copy.
+    Inference reads one such model per checkpoint, `inference_model`."""
 
     config: ModelConfig
     params: MappingProxyType     # name -> read-only float64 ndarray
@@ -40,6 +42,16 @@ class Checkpoint:
         """A model whose parameters share this checkpoint's read-only arrays;
         a stage's trainable set moves into Adam's arenas when it starts."""
         return TtsModel(self.config, self.params)
+
+    @cached_property
+    def inference_model(self) -> TtsModel:
+        """The model inference runs on, built by `to_model` on first use and
+        kept in the instance: no parameter tracks a gradient, so running it
+        under an active tape records nothing, and its arrays stay read-only.
+        `to_model` still returns a fresh model for each stage to train."""
+        model = self.to_model()
+        model.set_trainable(())
+        return model
 
 
 def _check_registry(config, params):
@@ -99,14 +111,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise errors.CheckpointFormatError(f"{path}: {exc}", exc.code) from None
 
 
+def _same_bits(x, y) -> bool:
+    """Whether two float64 arrays have the same shape and bits: a NaN
+    matches itself, and -0.0 differs from +0.0."""
+    return np.array_equal(np.ascontiguousarray(x).view(np.uint64),
+                          np.ascontiguousarray(y).view(np.uint64))
+
+
 def param_diff(a: Checkpoint, b: Checkpoint) -> list:
     """Names whose stored values differ in any bit, sorted."""
     if set(a.params) != set(b.params):
         raise errors.unknown_names("checkpoints hold different parameter sets")
-    return sorted(
-        n for n in a.params
-        if not np.array_equal(a.params[n], b.params[n])
-    )
+    return sorted(n for n in a.params if not _same_bits(a.params[n], b.params[n]))
 
 
 def assert_freeze(before: Checkpoint, after: Checkpoint, allowed_names,
@@ -126,7 +142,7 @@ def assert_freeze(before: Checkpoint, after: Checkpoint, allowed_names,
             rows = np.asarray(allowed_rows[name], dtype=np.int64)
             x[rows] = 0.0
             y[rows] = 0.0
-            if np.array_equal(x, y):
+            if _same_bits(x, y):
                 continue
         offenders.append(name)
     if offenders:

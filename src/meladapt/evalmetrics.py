@@ -8,6 +8,7 @@ paired per-utterance comparison reports with a sign-test summary.
 import csv
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,7 +60,33 @@ def _oracle_profile(spec, speaker_id) -> np.ndarray:
     frames = [
         sd.render(clean, speaker_id, list(text))[2] for text in _probe_texts(spec)
     ]
-    return np.vstack(frames).mean(axis=0)
+    profile = np.vstack(frames).mean(axis=0)
+    profile.setflags(write=False)  # shared cache entry, callers must not mutate
+    return profile
+
+
+@lru_cache(maxsize=256)
+def _geometry(spec, ids):
+    """What `speaker_proximity` measures against, for the sorted speaker ids
+    `ids`: ({id: oracle profile}, the basis of the subspace the profiles
+    span, their mean pairwise distance). One speaker spans no subspace, so
+    its basis and spread are None."""
+    profs = MappingProxyType({k: _oracle_profile(spec, k) for k in ids})
+    if len(ids) < 2:
+        return profs, None, None
+    stack = np.vstack([profs[k] for k in ids])
+    centered = stack - stack.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    basis = vt[svals > 1e-9 * max(float(svals[0]), 1.0)]
+    basis.setflags(write=False)  # shared cache entry, callers must not mutate
+    spreads = [
+        np.linalg.norm(profs[a] - profs[b])
+        for i, a in enumerate(ids) for b in ids[i + 1:]
+    ]
+    spread = float(np.mean(spreads))
+    if spread <= 0.0:
+        spread = 1.0
+    return profs, basis, spread
 
 
 def speaker_proximity(generated, target_speaker, spec, speakers) -> float:
@@ -73,27 +100,16 @@ def speaker_proximity(generated, target_speaker, spec, speakers) -> float:
     sqrt(x^2 + _FLOOR^2): gaps below that scale are within the sampling noise
     of corpus-length utterances and are deliberately not resolved. The floor
     map is strictly increasing, so orderings between scores are exactly the
-    raw-gap orderings."""
+    raw-gap orderings. The profiles, subspace and spread depend only on
+    `spec` and the speaker set, so they are computed once per set."""
     generated = np.asarray(generated)
     if generated.ndim != 2 or generated.shape[1] != spec.mel_dim:
         raise ShapeError(f"generated mel shape {generated.shape} does not fit "
                          f"mel_dim {spec.mel_dim}")
-    ids = sorted(set(speakers) | {target_speaker})
-    profs = {k: _oracle_profile(spec, k) for k in ids}
+    profs, basis, spread = _geometry(spec, tuple(sorted(set(speakers) | {target_speaker})))
     gap = generated.mean(axis=0) - profs[target_speaker]
-    if len(ids) < 2:
+    if basis is None:
         return float(np.linalg.norm(gap))
-    stack = np.vstack([profs[k] for k in ids])
-    centered = stack - stack.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[svals > 1e-9 * max(float(svals[0]), 1.0)]
-    spreads = [
-        np.linalg.norm(profs[a] - profs[b])
-        for i, a in enumerate(ids) for b in ids[i + 1:]
-    ]
-    spread = float(np.mean(spreads))
-    if spread <= 0.0:
-        spread = 1.0
     x = float(np.linalg.norm(basis @ gap)) / spread
     return float(np.sqrt(x * x + _FLOOR * _FLOOR))
 

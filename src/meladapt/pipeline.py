@@ -393,9 +393,11 @@ def _zero_shot_row(table, trained):
 def synthesize(ckpt, phonemes, speaker_id) -> np.ndarray:
     """Transcript-only inference: durations, pitch, and acoustic conditions
     all predicted. A speaker the checkpoint never trained falls back to the
-    mean of the trained speaker rows (zero-shot baseline)."""
+    mean of the trained speaker rows (zero-shot baseline). Runs on the
+    checkpoint's `inference_model`, so a checkpoint builds one model however
+    many utterances it synthesizes."""
     mm.check_speaker_id(speaker_id, ckpt.config.n_speakers)
-    model = ckpt.to_model()
+    model = ckpt.inference_model
     trained = set(ckpt.provenance.get("trained_speakers", []))
     if trained and speaker_id not in trained:
         mean_row = _zero_shot_row(model.params["speaker_table"].data, trained)

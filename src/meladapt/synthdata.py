@@ -72,6 +72,8 @@ def _phoneme_tables(spec):
         protos[pid] = raw * 1.5
         base_dur[pid] = rng.integers(_BASE_DUR_LO, _BASE_DUR_HI + 1)
         pitch_level[pid] = rng.normal()
+    for table in (protos, base_dur, pitch_level):
+        table.setflags(write=False)  # shared cache entry, callers must not mutate
     return protos, base_dur, pitch_level
 
 
@@ -84,13 +86,17 @@ def _speaker_voice(spec, speaker_id):
     dur_scale = rng.uniform(_DUR_SCALE_LO, _DUR_SCALE_HI)
     pitch_offset = rng.normal(scale=_PITCH_OFFSET_STD)
     vibrato_phase = rng.uniform(0.0, 2.0 * np.pi)
+    transform.setflags(write=False)  # shared cache entry, callers must not mutate
+    profile.setflags(write=False)
     return transform, profile, dur_scale, pitch_offset, vibrato_phase
 
 
 @lru_cache(maxsize=8)
 def _pitch_direction(spec):
     v = _rng(spec, 3).normal(size=spec.mel_dim)
-    return v / np.linalg.norm(v)
+    direction = v / np.linalg.norm(v)
+    direction.setflags(write=False)  # shared cache entry, callers must not mutate
+    return direction
 
 
 @dataclass

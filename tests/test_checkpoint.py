@@ -298,3 +298,51 @@ class TestDiffAndFreeze:
         with pytest.raises(FreezeViolation, match="speaker_table"):
             cp.assert_freeze(before, snap(tiny), allowed_names=set(),
                              allowed_rows={"speaker_table": [2]})
+
+    def test_diff_matches_a_nan_to_itself(self, tiny):
+        tiny.params["phoneme_embed"].data[0, 0] = np.nan
+        before = snap(tiny)
+        assert cp.param_diff(before, snap(tiny)) == []
+        cp.assert_freeze(before, snap(tiny), allowed_names=set())
+
+    def test_diff_names_a_sign_flip_of_zero(self, tiny):
+        before = snap(tiny)
+        assert tiny.params["dur.out.b"].data[0] == 0.0
+        tiny.params["dur.out.b"].data[0] = -0.0
+        assert cp.param_diff(before, snap(tiny)) == ["dur.out.b"]
+
+    def test_row_scoped_freeze_is_bitwise(self, tiny):
+        table = tiny.params["speaker_table"].data
+        table[0, 0] = np.nan
+        table[1, 0] = 0.0
+        before = snap(tiny)
+        table[2] += 1.0
+        cp.assert_freeze(before, snap(tiny), allowed_names=set(),
+                         allowed_rows={"speaker_table": [2]})
+        table[1, 0] = -0.0
+        with pytest.raises(FreezeViolation, match="speaker_table"):
+            cp.assert_freeze(before, snap(tiny), allowed_names=set(),
+                             allowed_rows={"speaker_table": [2]})
+
+
+class TestInferenceModel:
+    def test_built_once_and_shares_every_array(self, tiny):
+        ckpt = snap(tiny)
+        model = ckpt.inference_model
+        assert ckpt.inference_model is model
+        for name, t in model.params.items():
+            assert t.data is ckpt.params[name]
+            assert not t.requires_grad and t.grad is None
+
+    def test_to_model_stays_fresh_and_trainable(self, tiny):
+        ckpt = snap(tiny)
+        memo = ckpt.inference_model
+        fresh = ckpt.to_model()
+        assert fresh is not memo and ckpt.to_model() is not fresh
+        assert all(t.requires_grad for t in fresh.params.values())
+        assert not any(t.requires_grad for t in memo.params.values())
+
+    def test_not_carried_into_a_rebuilt_checkpoint(self, tiny):
+        ckpt = snap(tiny)
+        memo = ckpt.inference_model
+        assert dataclasses.replace(ckpt).inference_model is not memo

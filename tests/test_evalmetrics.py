@@ -141,6 +141,71 @@ class TestSpeakerProximity:
         assert s1 == s2
 
 
+def _inline_proximity(generated, target_speaker, spec, speakers):
+    """speaker_proximity as written before its geometry was cached: the
+    oracle the cached scores must match bit for bit."""
+    generated = np.asarray(generated)
+    ids = sorted(set(speakers) | {target_speaker})
+    profs = {k: ev._oracle_profile(spec, k) for k in ids}
+    gap = generated.mean(axis=0) - profs[target_speaker]
+    if len(ids) < 2:
+        return float(np.linalg.norm(gap))
+    stack = np.vstack([profs[k] for k in ids])
+    centered = stack - stack.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    basis = vt[svals > 1e-9 * max(float(svals[0]), 1.0)]
+    spreads = [
+        np.linalg.norm(profs[a] - profs[b])
+        for i, a in enumerate(ids) for b in ids[i + 1:]
+    ]
+    spread = float(np.mean(spreads))
+    if spread <= 0.0:
+        spread = 1.0
+    x = float(np.linalg.norm(basis @ gap)) / spread
+    return float(np.sqrt(x * x + ev._FLOOR * ev._FLOOR))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestGeometry:
+    CASES = {
+        "target-inside": (1, [0, 1, 2]),
+        "target-outside": (5, [0, 1, 2]),
+        "single-speaker": (2, [2]),
+        "ten-speakers": (4, list(range(10))),
+        "numpy-ids": (np.int64(1), list(np.arange(3))),
+    }
+
+    @pytest.mark.parametrize("target, speakers", CASES.values(), ids=CASES.keys())
+    def test_matches_the_inline_formula(self, target, speakers):
+        rng = np.random.default_rng(31)
+        for t in (1, 9, 40):
+            mel = _mel(rng, t)
+            assert (_bits(ev.speaker_proximity(mel, target, SPEC, speakers))
+                    == _bits(_inline_proximity(mel, target, SPEC, speakers)))
+
+    def test_computed_once_per_speaker_set(self):
+        mel = _mel(np.random.default_rng(6), 10)
+        ev._geometry.cache_clear()
+        scores = [ev.speaker_proximity(mel, 1, SPEC, order)
+                  for order in ([0, 1, 2], [2, 1, 0], [0, 2], [0, 1, 2])]
+        assert len({_bits(s) for s in scores}) == 1
+        assert ev._geometry.cache_info().misses == 1
+        assert ev._geometry.cache_info().hits == 3
+        single = ev._geometry(SPEC, (2,))
+        assert single[1] is None and single[2] is None
+
+    def test_cached_arrays_are_read_only(self):
+        profs, basis, _ = ev._geometry(SPEC, (0, 1, 2))
+        for arr in (basis, profs[0], ev._oracle_profile(SPEC, 1)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(TypeError):
+            profs[0] = np.zeros(SPEC.mel_dim)
+
+
 class TestPairedReport:
     def test_identical_arms(self):
         vals = {i: float(i) * 0.1 + 0.3 for i in range(6)}

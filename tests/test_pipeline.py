@@ -8,6 +8,8 @@ import pytest
 
 from meladapt import autodiff as ad
 from meladapt import checkpoint as cp
+from meladapt import evalmetrics as ev
+from meladapt import experiments as ex
 from meladapt import melencoder as me
 from meladapt import model as m
 from meladapt import pipeline as pl
@@ -264,6 +266,18 @@ class TestAdaptUntranscribed:
         with pytest.raises(FreezeViolation, match="speaker_table"):
             pl.adapt_untranscribed(aligned_ckpt, adapt_records,
                                    pl.adapt_plan(steps=2, seed=2))
+
+    def test_nan_in_an_array_it_never_touches_passes_the_audit(self, aligned_ckpt,
+                                                               adapt_records):
+        # the audit compares bits, and a NaN's bits match themselves
+        embed = aligned_ckpt.params["phoneme_embed"].copy()
+        embed[0, 0] = np.nan
+        start = cp.Checkpoint(aligned_ckpt.config,
+                              {**aligned_ckpt.params, "phoneme_embed": embed},
+                              aligned_ckpt.provenance)
+        out, _ = pl.adapt_untranscribed(start, adapt_records,
+                                        pl.adapt_plan(steps=2, seed=2))
+        assert "phoneme_embed" not in cp.param_diff(start, out)
 
     def test_transcript_bearing_record_rejected(self, aligned_ckpt, corpus):
         with pytest.raises(ConfigError, match="mel-only"):
@@ -690,6 +704,62 @@ class TestSynthesize:
             provenance=dict(aligned_ckpt.provenance))
         assert np.array_equal(pl.synthesize(aligned_ckpt, [0, 1], 3),
                               pl.synthesize(doctored, [0, 1], 3))
+
+
+def _fresh(ckpt):
+    """`ckpt`'s arrays in a new checkpoint, whose inference model is unbuilt."""
+    return cp.Checkpoint(ckpt.config, dict(ckpt.params), ckpt.provenance)
+
+
+class TestInferenceModel:
+    """Inference builds one model per checkpoint, and training never sees it."""
+
+    def test_score_utterances_builds_one_model(self, aligned_ckpt, corpus, monkeypatch):
+        ckpt, utts, speakers = _fresh(aligned_ckpt), corpus.utterances[:16], [0, 1, 2]
+        calls = []
+        real = cp.Checkpoint.to_model
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(cp.Checkpoint, "to_model", spy)
+        got = ex.score_utterances(ckpt, utts, SPEC, speakers)
+        assert calls == [ckpt]
+        model = real(ckpt)
+        want = {"mel_mae": {}, "proximity": {}}
+        for utt in utts:
+            spk = model.speaker_context(utt.speaker_id)
+            mel = m.tts_forward(model, utt.phonemes, spk).mel.data
+            uid = ex._utt_uid(utt.speaker_id, utt.utterance_id)
+            want["mel_mae"][uid] = ev.mel_distance(mel, utt.mel).value
+            want["proximity"][uid] = ev.speaker_proximity(mel, utt.speaker_id, SPEC, speakers)
+        for metric in ("mel_mae", "proximity"):
+            assert list(got[metric]) == list(want[metric])
+            assert (np.array(list(got[metric].values())).tobytes()
+                    == np.array(list(want[metric].values())).tobytes())
+
+    def test_synthesize_under_a_tape_records_nothing(self, aligned_ckpt):
+        ckpt = _fresh(aligned_ckpt)
+        with ad.Tape() as tape:
+            pl.synthesize(ckpt, [0, 1, 2], 0)
+            pl.synthesize(ckpt, [0, 1, 2], 3)  # the zero-shot row
+        assert len(tape) == 0
+        assert all(t.grad is None for t in ckpt.inference_model.params.values())
+
+    def test_stage_from_a_synthesized_checkpoint_is_unchanged(self, source_ckpt, corpus,
+                                                              tmp_path):
+        path = tmp_path / "source.ckpt"
+        cp.save_checkpoint(source_ckpt, path)
+        used = cp.load_checkpoint(path)
+        pl.synthesize(used, [0, 1, 2], 0)
+        assert used.to_model() is not used.inference_model
+        plan = pl.align_plan(steps=2, seed=1)
+        out_used, _ = pl.align_mel_encoder(used, corpus, plan)
+        out_fresh, _ = pl.align_mel_encoder(cp.load_checkpoint(path), corpus, plan)
+        assert (_ckpt_bytes(out_used, tmp_path / "used.ckpt")
+                == _ckpt_bytes(out_fresh, tmp_path / "fresh.ckpt"))
+        assert not any(t.requires_grad for t in used.inference_model.params.values())
 
 
 class TestMetricsIo:

@@ -216,3 +216,13 @@ class TestCorpusIo:
         with pytest.raises(CheckpointFormatError) as e:
             sd.load_corpus(path)
         assert e.value.code == "truncated"
+
+
+def test_cached_oracle_tables_are_read_only():
+    # every render reads these shared cache entries; a write would change
+    # every later corpus of the spec
+    arrays = [*sd._phoneme_tables(SPEC), *sd._speaker_voice(SPEC, 0)[:2],
+              sd._pitch_direction(SPEC)]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0

@@ -273,32 +273,21 @@ def _normalize_grad(g, xhat, inv):
     return inv * (g - m1 - xhat * m2)
 
 
-def layer_norm(a, gamma=None, beta=None):
-    """Row-wise normalization of a (T, d) tensor, optional affine.
+def layer_norm(a, gamma, beta):
+    """Row-wise normalization xhat of a (T, d) tensor, then xhat * gamma + beta.
 
-    A zero-variance row maps to zeros through the `LN_EPS` guard.
+    A zero-variance row maps to beta through the `LN_EPS` guard.
     """
     xhat, inv = _normalize(a.data)
     d = a.shape[1]
-    if gamma is not None and gamma.shape != (d,):
+    if gamma.shape != (d,):
         raise ShapeError(f"gamma shape {gamma.shape} does not match feature dim {d}")
-    if beta is not None and beta.shape != (d,):
+    if beta.shape != (d,):
         raise ShapeError(f"beta shape {beta.shape} does not match feature dim {d}")
-    y = xhat
-    if gamma is not None:
-        y = y * gamma.data
-    if beta is not None:
-        y = y + beta.data
-
-    def grad_a(g):
-        return _normalize_grad(g * gamma.data if gamma is not None else g, xhat, inv)
-
-    pairs = [(a, grad_a)]
-    if gamma is not None:
-        pairs.append((gamma, lambda g: (g * xhat).sum(axis=0)))
-    if beta is not None:
-        pairs.append((beta, lambda g: g.sum(axis=0)))
-    return _op(y, *pairs)
+    return _op(xhat * gamma.data + beta.data,
+               (a, lambda g: _normalize_grad(g * gamma.data, xhat, inv)),
+               (gamma, lambda g: (g * xhat).sum(axis=0)),
+               (beta, lambda g: g.sum(axis=0)))
 
 
 @lru_cache(maxsize=256)
@@ -309,7 +298,7 @@ def _window_rows(t, k):
     return rows
 
 
-def conv1d(a, kernel, bias=None):
+def conv1d(a, kernel, bias):
     """Same-padded 1-D convolution over time: (T, d_in) x (k, d_in, d_out) -> (T, d_out).
 
     Borders are zero-padded; k must be odd so the padding is symmetric. The
@@ -324,7 +313,7 @@ def conv1d(a, kernel, bias=None):
         raise ConfigError(f"conv1d kernel size must be odd for same-padding, got {k}")
     if a.ndim != 2 or a.shape[1] != d_in:
         raise ShapeError(f"conv1d input {a.shape} does not match kernel {kernel.shape}")
-    if bias is not None and bias.shape != (d_out,):
+    if bias.shape != (d_out,):
         raise ShapeError(f"conv1d bias shape {bias.shape} != ({d_out},)")
     t = a.shape[0]
     pad = k // 2
@@ -337,10 +326,6 @@ def conv1d(a, kernel, bias=None):
         padded[pad:pad + t] = a.data
         return padded[_window_rows(t, k)].reshape(t, k * d_in)
 
-    y = unfold() @ w2
-    if bias is not None:
-        y = y + bias.data
-
     def grad_a(g):
         gu = (g @ w2.T).reshape(t, k, d_in)
         gp = np.zeros((t + 2 * pad, d_in))
@@ -348,10 +333,9 @@ def conv1d(a, kernel, bias=None):
             gp[j:j + t] += gu[:, j, :]
         return gp[pad:pad + t]
 
-    pairs = [(kernel, lambda g: (unfold().T @ g).reshape(k, d_in, d_out)), (a, grad_a)]
-    if bias is not None:
-        pairs.append((bias, lambda g: g.sum(axis=0)))
-    return _op(y, *pairs)
+    return _op(unfold() @ w2 + bias.data,
+               (kernel, lambda g: (unfold().T @ g).reshape(k, d_in, d_out)), (a, grad_a),
+               (bias, lambda g: g.sum(axis=0)))
 
 
 def _scatter_rows(g, rows, like):

@@ -108,25 +108,25 @@ def _schema_error(header):
 
 
 def read_container(path, magic: bytes, version: int):
-    """Returns (meta, arrays). Raises CheckpointFormatError with a specific
-    code on bad magic, wrong version, truncation, a header that breaks the
-    schema, or trailing garbage."""
+    """Returns (meta, arrays). Raises CheckpointFormatError on bad magic, a
+    wrong version, truncation, a header that breaks the schema, trailing
+    garbage, or a NaN or inf, which no writer of this package stores."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20:
-        raise errors.truncated(f"{path}: file shorter than any valid header")
+        raise errors.CheckpointFormatError(f"{path}: file shorter than any valid header")
     if blob[:8] != magic:
-        raise errors.magic_mismatch(
+        raise errors.CheckpointFormatError(
             f"{path}: magic {blob[:8]!r} does not match expected {magic!r}"
         )
     (got_version,) = struct.unpack("<I", blob[8:12])
     if got_version != version:
-        raise errors.version_mismatch(
+        raise errors.CheckpointFormatError(
             f"{path}: format version {got_version}, this build reads {version}"
         )
     (hlen,) = struct.unpack("<Q", blob[12:20])
     if len(blob) < 20 + hlen:
-        raise errors.truncated(f"{path}: header cut short")
+        raise errors.CheckpointFormatError(f"{path}: header cut short")
     try:
         header = json.loads(blob[20:20 + hlen].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -140,10 +140,14 @@ def read_container(path, magic: bytes, version: int):
         name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(blob):
-            raise errors.truncated(f"{path}: array '{name}' cut short")
-        arrays[name] = np.frombuffer(
+            raise errors.CheckpointFormatError(f"{path}: array '{name}' cut short")
+        arr = np.frombuffer(
             blob, dtype=_DTYPES[dtype], count=nbytes // 8, offset=offset
         ).reshape(shape).copy()
+        if dtype == "f8" and not np.isfinite(arr).all():
+            raise errors.CheckpointFormatError(
+                f"{path}: array '{name}' holds a non-finite value")
+        arrays[name] = arr
         offset += nbytes
     if offset != len(blob):
         raise errors.CheckpointFormatError(

@@ -33,26 +33,7 @@ class NumericError(MelAdaptError):
 
 
 class CheckpointFormatError(MelAdaptError):
-    """Unreadable checkpoint or corpus file. `code` distinguishes the failure."""
+    """Unreadable or corrupt checkpoint, corpus or mel file; the message names
+    the file and what is wrong with it."""
 
     exit_code = 5
-
-    def __init__(self, message, code="format"):
-        super().__init__(message)
-        self.code = code
-
-
-def magic_mismatch(message):
-    return CheckpointFormatError(message, code="magic")
-
-
-def version_mismatch(message):
-    return CheckpointFormatError(message, code="version")
-
-
-def truncated(message):
-    return CheckpointFormatError(message, code="truncated")
-
-
-def unknown_names(message):
-    return CheckpointFormatError(message, code="unknown-names")

@@ -260,12 +260,9 @@ def conditional_layer_norm(x, speaker, model, prefix):
 
 
 def _norm(x, model, prefix, site, speaker):
-    if f"{prefix}.cln{site}.w_scale" in model.params:
-        if speaker is None:
-            raise ConfigError(f"block {prefix} needs a speaker context")
-        return conditional_layer_norm(x, speaker, model, f"{prefix}.cln{site}")
+    """Conditional layer norm given a speaker (the decoder), plain otherwise."""
     if speaker is not None:
-        raise ConfigError(f"speaker supplied to block {prefix} without conditioning")
+        return conditional_layer_norm(x, speaker, model, f"{prefix}.cln{site}")
     p = model.params
     return ad.layer_norm(x, p[f"{prefix}.ln{site}.gamma"], p[f"{prefix}.ln{site}.beta"])
 

@@ -38,17 +38,14 @@ ADAM_CHUNK = 32768
 
 
 class AdamState:
-    """Adam's learning rate, step counter and arenas for one trainable set.
+    """Adam's step counter and arenas for one trainable set.
 
-    `t` increases by exactly 1 per applied step. `learning_rate` is the rate
-    for the NEXT step; training loops overwrite it from the stage plan's
-    `lr` before each call to `adam_step`. `data`, `grad`, `m` and `v` are
-    the flat arenas; `views(arena)` names a parameter's slice of any of
+    `t` increases by exactly 1 per applied step. `data`, `grad`, `m` and `v`
+    are the flat arenas; `views(arena)` names a parameter's slice of any of
     them, and `grads` holds the gradient views that `backward` fills.
     """
 
-    def __init__(self, params, learning_rate=1e-4):
-        self.learning_rate = learning_rate
+    def __init__(self, params):
         self.t = 0
         self._slices = {}
         end = 0
@@ -70,8 +67,8 @@ class AdamState:
         return {name: arena[s].reshape(shape) for name, (s, shape) in self._slices.items()}
 
 
-def adam_step(params, grads, state, group_of=None):
-    """Apply one bias-corrected Adam update to the set `state` packed.
+def adam_step(params, grads, state, *, lr, group_of=None):
+    """Apply one bias-corrected Adam update at rate `lr` to the set `state` packed.
 
     `params` is that {name: Tensor} set and `grads` its gradient views,
     `state.grads`; a parameter no gradient reached reads zeros there and
@@ -93,7 +90,7 @@ def adam_step(params, grads, state, group_of=None):
         group = f" (group {group_of(name)})" if group_of else ""
         raise NumericError(f"non-finite gradient for parameter '{name}'{group}")
     state.t += 1
-    b1, b2, lr = BETA1, BETA2, state.learning_rate
+    b1, b2 = BETA1, BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for lo in range(0, g.size, ADAM_CHUNK):
         hi = lo + ADAM_CHUNK

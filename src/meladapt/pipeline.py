@@ -286,8 +286,8 @@ def _train(start, plan, items, loss_fn, provenance, rows=None):
                 )
             state.grad.fill(0.0)
             backward(total, tape)
-            state.learning_rate = plan.lr(state.t + 1)
-            adam_step(trainable, state.grads, state, group_of=labels.__getitem__)
+            adam_step(trainable, state.grads, state, lr=plan.lr(state.t + 1),
+                      group_of=labels.__getitem__)
     except NumericError as exc:
         exc.last_good = Checkpoint.from_model(
             model, provenance={**provenance, "aborted": True})

@@ -121,7 +121,7 @@ class TestLayerNorm:
         # direct statistic computation on the pre-affine output
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(4, 8)) * 3 + 1)
-        out = ad.layer_norm(x, None, None)
+        out = ad.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         mu = out.data.mean(axis=1)
         var = out.data.var(axis=1)
         assert np.abs(mu).max() < 1e-9
@@ -152,11 +152,11 @@ class TestConv1d:
     def test_pointwise_identity(self):
         x = Tensor(np.random.default_rng(1).normal(size=(5, 3)))
         kernel = Tensor(np.eye(3)[None, :, :])
-        np.testing.assert_array_equal(ad.conv1d(x, kernel).data, x.data)
+        np.testing.assert_array_equal(ad.conv1d(x, kernel, Tensor(np.zeros(3))).data, x.data)
 
     def test_zero_kernel(self):
         x = Tensor(np.ones((4, 2)))
-        out = ad.conv1d(x, Tensor(np.zeros((3, 2, 2))))
+        out = ad.conv1d(x, Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros(2)))
         np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
     def test_averaging_kernel_on_ramp(self):
@@ -164,15 +164,17 @@ class TestConv1d:
         x = Tensor(np.arange(5.0)[:, None])
         kernel = Tensor(np.full((3, 1, 1), 1 / 3))
         expected = [[1 / 3], [1.0], [2.0], [3.0], [7 / 3]]
-        np.testing.assert_allclose(ad.conv1d(x, kernel).data, expected, rtol=1e-15)
+        np.testing.assert_allclose(ad.conv1d(x, kernel, Tensor(np.zeros(1))).data, expected,
+                                   rtol=1e-15)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            ad.conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 2))))
+            ad.conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)))
 
     def test_length_preserved(self):
         for t in (1, 2, 9):
-            out = ad.conv1d(Tensor(np.ones((t, 2))), Tensor(np.ones((5, 2, 3))))
+            out = ad.conv1d(Tensor(np.ones((t, 2))), Tensor(np.ones((5, 2, 3))),
+                            Tensor(np.zeros(3)))
             assert out.shape == (t, 3)
 
     def test_grad_vs_fd(self):
@@ -202,20 +204,23 @@ class TestConv1d:
             gp[j:j + t] += gu[:, j, :]
         return (cols.T @ g).reshape(k, d_in, d_out), gp[pad:pad + t]
 
-    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("bias_tracks", [True, False])
     @pytest.mark.parametrize("t, k", [(1, 3), (6, 3), (7, 9)])
-    def test_grads_match_im2col_reference_bitwise(self, t, k, with_bias):
+    def test_grads_match_im2col_reference_bitwise(self, t, k, bias_tracks):
+        """Every set of tracking parents (x 0, kernel 1, bias 2) that holds
+        the bias, or every one that leaves it frozen."""
         rng = np.random.default_rng(t * 10 + k)
         arrays = [rng.normal(size=(t, 4)), rng.normal(size=(k, 4, 3)), rng.normal(size=3)]
         w = rng.normal(size=(t, 3))  # the conv output's gradient, sum(out * w)
         want_kernel, want_x = self._im2col_grads(arrays[0], arrays[1], w)
-        n = 3 if with_bias else 2
-        for r in range(1, n + 1):
-            for tracking in combinations(range(n), r):
+        for r in range(1, 4):
+            for tracking in combinations(range(3), r):
+                if (2 in tracking) != bias_tracks:
+                    continue
                 x, kernel, bias = (Tensor(a.copy(), requires_grad=i in tracking)
                                    for i, a in enumerate(arrays))
                 with Tape() as tape:
-                    out = ad.conv1d(x, kernel, bias if with_bias else None)
+                    out = ad.conv1d(x, kernel, bias)
                     loss = ad.sum_all(ad.mul(out, Tensor(w)))
                 backward(loss, tape)
                 for i, (p, want) in enumerate(((x, want_x), (kernel, want_kernel))):
@@ -231,12 +236,13 @@ class TestBackward:
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         kernel = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
         gamma = Tensor(rng.normal(size=4), requires_grad=True)
+        zeros = Tensor(np.zeros(4))
 
         def record():
             # only the tape holds the intermediate tensors
             with Tape() as tape:
-                h = ad.relu(ad.conv1d(x, kernel))
-                y = ad.layer_norm(h, gamma)
+                h = ad.relu(ad.conv1d(x, kernel, zeros))
+                y = ad.layer_norm(h, gamma, zeros)
                 loss = ad.mean_all(ad.mul(y, y))
             return tape, loss, [weakref.ref(a.data) for a in (h, y)]
 
@@ -409,7 +415,8 @@ class TestOperatorGradProperty:
                 lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, g), y)),
                 (x, g),
             ),
-            "conv1d": (lambda: ad.sum_all(ad.matmul(ad.conv1d(x, k), proj)), (x, k)),
+            "conv1d": (lambda: ad.sum_all(ad.matmul(ad.conv1d(x, k, Tensor(np.zeros(2))),
+                                                    proj)), (x, k)),
             "relu": (lambda: ad.sum_all(ad.mul(ad.relu(x), y)), (x,)),
             "mae": (lambda: ad.masked_mae(x, y), (x, y)),
             "mse": (lambda: ad.masked_mse(x, y), (x, y)),

@@ -46,9 +46,9 @@ class TestSnapshot:
     def test_to_model_rejects_renamed_param(self, tiny):
         params = dict(snap(tiny).params)
         params["bogus.w"] = params.pop("mel_out.w")
-        with pytest.raises(CheckpointFormatError) as e:
+        with pytest.raises(CheckpointFormatError,
+                           match=r"do not match the registry \(extra: \['bogus\.w'\]"):
             cp.Checkpoint(config=TINY, params=params)
-        assert e.value.code == "unknown-names"
 
     def test_to_model_rejects_reshaped_param(self, tiny):
         params = {**snap(tiny).params, "mel_out.b": np.zeros((1, TINY.mel_dim))}
@@ -124,9 +124,9 @@ class TestSnapshot:
 
 class TestSerialization:
     def test_save_load_save_byte_identical(self, tiny, tmp_path):
-        state = AdamState(tiny.params, learning_rate=0.01)
+        state = AdamState(tiny.params)
         state.grad.fill(0.1)
-        adam_step(tiny.params, state.grads, state)
+        adam_step(tiny.params, state.grads, state, lr=0.01)
         ckpt = cp.Checkpoint.from_model(
             tiny, provenance={"stage": "source_training", "steps": 1})
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -175,9 +175,8 @@ class TestSerialization:
         path = tmp_path / "m.ckpt"
         binio.write_container(path, cp.CKPT_MAGIC, cp.CKPT_VERSION,
                               {"model_config": TINY.to_dict(), "provenance": {}}, arrays)
-        with pytest.raises(CheckpointFormatError) as e:
+        with pytest.raises(CheckpointFormatError, match="unexpected array 'adam_m.mel_out.b'"):
             cp.load_checkpoint(path)
-        assert e.value.code == "unknown-names"
 
     def test_corrupted_magic(self, tiny, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -185,9 +184,8 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointFormatError) as e:
+        with pytest.raises(CheckpointFormatError, match="does not match expected"):
             cp.load_checkpoint(path)
-        assert e.value.code == "magic"
 
     def test_corrupted_header_is_an_error_not_a_crash(self, tiny, tmp_path):
         path = tmp_path / "h.ckpt"
@@ -214,12 +212,13 @@ class TestSerialization:
         with pytest.raises(CheckpointFormatError, match="int64, not float64"):
             cp.Checkpoint(config=TINY, params=params)
 
-    def test_unknown_parameter_name_code(self, tiny, tmp_path):
+    def test_unknown_parameter_name_rejected(self, tiny, tmp_path):
         path = tmp_path / "u.ckpt"
         write_params(path, {**snap(tiny).params, "mystery.w": np.zeros((2, 2))})
-        with pytest.raises(CheckpointFormatError) as e:
+        with pytest.raises(CheckpointFormatError,
+                           match=r"u\.ckpt: parameter names do not match the registry "
+                                 r"\(extra: \['mystery\.w'\]"):
             cp.load_checkpoint(path)
-        assert e.value.code == "unknown-names"
 
 
 def _container(header, payload=b""):

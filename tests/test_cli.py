@@ -230,6 +230,34 @@ class TestExitCodes:
         assert code == 5
         assert "not float64" in capsys.readouterr().err
 
+    def test_nan_checkpoint_param_is_exit_5(self, workdir, tmp_path, capsys):
+        meta, arrays = binio.read_container(workdir / "adapted.ckpt",
+                                            CKPT_MAGIC, CKPT_VERSION)
+        arrays["param.mel_out.b"][0] = np.nan
+        bad = tmp_path / "bad.ckpt"
+        binio.write_container(bad, CKPT_MAGIC, CKPT_VERSION, meta, arrays)
+        text = tmp_path / "text.txt"
+        text.write_text("1 2 3\n")
+        code = cli.main(["synthesize", "--ckpt", str(bad), "--text-file", str(text),
+                         "--speaker", "3", "--out", str(tmp_path / "x.mel")])
+        assert code == 5
+        assert "array 'param.mel_out.b' holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "x.mel").exists()
+
+    def test_inf_mel_in_mel_only_corpus_is_exit_5(self, workdir, tmp_path, capsys):
+        meta, arrays = binio.read_container(workdir / "data" / "adapt_3_pool.corpus",
+                                            sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
+        assert {r["kind"] for r in meta["records"]} == {"mel_only"}
+        arrays["u000001.mel"][2, 0] = np.inf
+        bad = tmp_path / "bad.corpus"
+        binio.write_container(bad, sd.CORPUS_MAGIC, sd.CORPUS_VERSION, meta, arrays)
+        code = cli.main(["adapt", "--ckpt", str(workdir / "aligned.ckpt"),
+                         "--corpus", str(bad), "--speaker", "3", "--n-utts", "4",
+                         "--out", str(tmp_path / "never.ckpt")])
+        assert code == 5
+        assert "array 'u000001.mel' holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "never.ckpt").exists()
+
     # the tiny model's speaker table has 5 rows
     @pytest.mark.parametrize("trained", [5, ["a"], [99], [[1]], [-1], [1.5], [True]])
     def test_corrupt_trained_speakers_is_exit_5(self, workdir, tmp_path, trained, capsys):
@@ -284,7 +312,7 @@ class TestExitCodes:
         "records_not_a_list", "durations_off_mel_frames", "mel_width_off_spec",
         "string_speaker_id", "float_phonemes", "pitch_one_frame_short",
         "phoneme_without_duration", "phoneme_outside_vocabulary",
-        "negative_duration", "int64_mel"])
+        "negative_duration", "int64_mel", "nan_pitch"])
     def test_corrupt_corpus_is_exit_5(self, workdir, tmp_path, breakage, capsys):
         meta, arrays = binio.read_container(workdir / "data" / "adapt_3_eval.corpus",
                                             sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
@@ -300,6 +328,8 @@ class TestExitCodes:
             arrays["u000000.durations"][0] += 1
         elif breakage == "mel_width_off_spec":
             arrays["u000000.mel"] = arrays["u000000.mel"][:, :-1]
+        elif breakage == "nan_pitch":
+            arrays["u000000.pitch"][3] = np.nan
         elif breakage == "int64_mel":
             arrays["u000000.mel"] = arrays["u000000.mel"].astype(np.int64)
         elif breakage == "float_phonemes":

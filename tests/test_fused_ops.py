@@ -38,7 +38,8 @@ def composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
 def composed_conditional_layer_norm(x, e, w_scale, b_scale, w_bias, b_bias):
     scale = ad.add(ad.matmul(e, w_scale), b_scale)
     bias = ad.add(ad.matmul(e, w_bias), b_bias)
-    return ad.add(ad.mul(ad.layer_norm(x), scale), bias)
+    d = x.shape[1]
+    return ad.add(ad.mul(ad.layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d))), scale), bias)
 
 
 ATTENTION = ("x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")

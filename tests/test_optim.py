@@ -9,18 +9,19 @@ from meladapt.errors import ConfigError, NumericError, ShapeError
 from meladapt.optim import AdamState, adam_step
 
 
-def step(params, grads, state, **kwargs):
-    """One `adam_step` with `grads` (name -> array) written into the arena."""
+def step(params, grads, state, lr, **kwargs):
+    """One `adam_step` at rate `lr` with `grads` (name -> array) written into
+    the arena."""
     state.grad.fill(0.0)
     for name, g in grads.items():
         state.grads[name][...] = g
-    adam_step(params, state.grads, state, **kwargs)
+    adam_step(params, state.grads, state, lr=lr, **kwargs)
 
 
 def test_zero_grad_is_noop():
     p = Tensor(np.array([1.0, -2.0, 3.0]))
-    state = AdamState({"w": p}, learning_rate=0.1)
-    step({"w": p}, {"w": np.zeros(3)}, state)
+    state = AdamState({"w": p})
+    step({"w": p}, {"w": np.zeros(3)}, state, 0.1)
     np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
 
@@ -30,22 +31,22 @@ def test_single_step_closed_form():
     # frozen from a 50-digit evaluation of that expression
     expected_delta = 0.09999999990000007
     p = Tensor(np.array([0.0, 5.0]))
-    state = AdamState({"w": p}, learning_rate=0.1)
-    step({"w": p}, {"w": np.ones(2)}, state)
+    state = AdamState({"w": p})
+    step({"w": p}, {"w": np.ones(2)}, state, 0.1)
     np.testing.assert_allclose(p.data, [-expected_delta, 5.0 - expected_delta], rtol=1e-15)
 
 
 def test_two_steps_same_gradient_keep_moving():
     p = Tensor(np.array([0.0]))
-    state = AdamState({"w": p}, learning_rate=0.1)
-    step({"w": p}, {"w": np.ones(1)}, state)
+    state = AdamState({"w": p})
+    step({"w": p}, {"w": np.ones(1)}, state, 0.1)
     after_one = p.data.copy()
-    step({"w": p}, {"w": np.ones(1)}, state)
+    step({"w": p}, {"w": np.ones(1)}, state, 0.1)
     assert p.data[0] < after_one[0] < 0.0
     assert state.t == 2
 
 
-def _per_tensor_adam(params, grads, state, m, v):
+def _per_tensor_adam(params, grads, lr, state, m, v):
     """The textbook update, one tensor at a time: the reference the arena's
     whole-buffer passes must reproduce bit for bit."""
     b1, b2 = optim.BETA1, optim.BETA2
@@ -59,7 +60,7 @@ def _per_tensor_adam(params, grads, state, m, v):
         v[name] += (1.0 - b2) * (g * g)
         mhat = m[name] / bc1
         vhat = v[name] / bc2
-        params[name].data -= state.learning_rate * mhat / (np.sqrt(vhat) + optim.EPSILON)
+        params[name].data -= lr * mhat / (np.sqrt(vhat) + optim.EPSILON)
 
 
 def test_betas_keep_bias_correction_and_signed_zero_argument():
@@ -74,9 +75,9 @@ def test_bitwise_determinism():
     def run():
         rng = np.random.default_rng(77)
         p = Tensor(rng.normal(size=(4, 3)))
-        state = AdamState({"w": p}, learning_rate=0.01)
+        state = AdamState({"w": p})
         for _ in range(25):
-            step({"w": p}, {"w": rng.normal(size=(4, 3))}, state)
+            step({"w": p}, {"w": rng.normal(size=(4, 3))}, state, 0.01)
         return p.data
 
     a, b = run(), run()
@@ -94,16 +95,16 @@ def _check_arena_matches_per_tensor_update():
     init = {n: rng.normal(size=sh) for n, sh in shapes.items()}
     packed = {n: Tensor(a) for n, a in init.items()}
     loose = {n: Tensor(a) for n, a in init.items()}
-    state = AdamState(packed, learning_rate=0.01)
+    state = AdamState(packed)
     assert state._scratch.size == chunk
-    ref = AdamState({}, learning_rate=0.01)
+    ref = AdamState({})
     m = {n: np.zeros(sh) for n, sh in shapes.items()}
     v = {n: np.zeros(sh) for n, sh in shapes.items()}
     for _ in range(12):
         grads = {n: rng.normal(size=sh) * rng.choice([0.0, 1e-8, 1.0, 1e3])
                  for n, sh in shapes.items()}
-        step(packed, grads, state)
-        _per_tensor_adam(loose, grads, ref, m, v)
+        step(packed, grads, state, 0.01)
+        _per_tensor_adam(loose, grads, 0.01, ref, m, v)
     for n in shapes:
         assert packed[n].data.tobytes() == loose[n].data.tobytes()
     assert state.m.tobytes() == np.concatenate([m[n].ravel() for n in shapes]).tobytes()
@@ -124,7 +125,7 @@ def test_state_buffers_track_parameters():
     q = Tensor(np.zeros(3))
     params = {"w": p, "b": q}
     state = AdamState(params)
-    step(params, {"w": np.ones((2, 2)), "b": np.ones(3)}, state)
+    step(params, {"w": np.ones((2, 2)), "b": np.ones(3)}, state, 0.1)
     assert state.m.shape == state.v.shape == (7,)
     m, v = state.views(state.m), state.views(state.v)
     assert list(m) == ["w", "b"]
@@ -143,13 +144,13 @@ def test_nonfinite_gradient_aborts_before_mutation():
     p = Tensor(np.array([1.0, 2.0]))
     q = Tensor(np.array([3.0]))
     params = {"w": p, "b": q}
-    state = AdamState(params, learning_rate=0.1)
-    step(params, {"w": np.array([0.5, -0.25]), "b": np.array([1.0])}, state)
+    state = AdamState(params)
+    step(params, {"w": np.array([0.5, -0.25]), "b": np.array([1.0])}, state, 0.1)
     before = {n: t.data.copy() for n, t in params.items()}
     m, v = state.m.copy(), state.v.copy()
     grads = {"w": np.array([0.1, np.nan]), "b": np.array([0.1])}
     with pytest.raises(NumericError, match="'w' \\(group decoder\\)"):
-        step(params, grads, state, group_of=lambda n: "decoder")
+        step(params, grads, state, 0.1, group_of=lambda n: "decoder")
     # nothing was applied: parameters, moments and t untouched
     for n, t in params.items():
         assert t.data.tobytes() == before[n].tobytes()
@@ -162,9 +163,9 @@ def test_nonfinite_error_names_first_offender_in_set_order():
     params = {"w": Tensor(np.zeros(2)), "b": Tensor(np.zeros(1))}
     state = AdamState(params)
     with pytest.raises(NumericError, match="'w'"):
-        step(params, {"w": np.array([0.0, np.inf]), "b": np.array([np.nan])}, state)
+        step(params, {"w": np.array([0.0, np.inf]), "b": np.array([np.nan])}, state, 0.1)
     with pytest.raises(NumericError, match="'b'"):
-        step(params, {"w": np.zeros(2), "b": np.array([-np.inf])}, state)
+        step(params, {"w": np.zeros(2), "b": np.array([-np.inf])}, state, 0.1)
     assert state.t == 0
 
 
@@ -174,13 +175,13 @@ def test_unreached_parameter_gets_zero_update():
     p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     q = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
     params = {"p": p, "q": q}
-    state = AdamState(params, learning_rate=0.1)
+    state = AdamState(params)
     with Tape() as tape:
         loss = ad.sum_all(ad.smul(p, 2.0))
     ad.backward(loss, tape)
     np.testing.assert_array_equal(p.grad, [[2.0, 2.0]])
     np.testing.assert_array_equal(q.grad, [[0.0, 0.0]])
-    adam_step(params, state.grads, state)
+    adam_step(params, state.grads, state, lr=0.1)
     np.testing.assert_array_equal(q.data, [[3.0, 4.0]])
     assert not np.array_equal(p.data, [[1.0, -2.0]])
     assert np.all(state.views(state.m)["q"] == 0.0)
@@ -190,7 +191,7 @@ def test_unreached_parameter_gets_zero_update():
 def test_nonfinite_error_names_group():
     p = Tensor(np.array([1.0]))
     with pytest.raises(NumericError, match="decoder"):
-        step({"w": p}, {"w": np.array([np.inf])}, AdamState({"w": p}),
+        step({"w": p}, {"w": np.array([np.inf])}, AdamState({"w": p}), 0.1,
              group_of=lambda n: "decoder")
 
 
@@ -200,9 +201,9 @@ def test_shape_mismatch_rejected():
     p = Tensor(np.zeros(3))
     state = AdamState({"w": p})
     with pytest.raises(ShapeError):
-        adam_step({"w": p}, {"w": np.zeros(4)}, state)
+        adam_step({"w": p}, {"w": np.zeros(4)}, state, lr=0.1)
     with pytest.raises(ShapeError):
-        adam_step({"w": p}, dict(state.grads), state)
+        adam_step({"w": p}, dict(state.grads), state, lr=0.1)
     assert state.t == 0
 
 
@@ -210,9 +211,9 @@ def test_missing_grad_key_rejected():
     p, q = Tensor(np.zeros(3)), Tensor(np.zeros(2))
     state = AdamState({"w": p})
     with pytest.raises(ShapeError, match="w"):
-        adam_step({}, state.grads, state)
+        adam_step({}, state.grads, state, lr=0.1)
     with pytest.raises(ShapeError, match="x"):
-        adam_step({"w": p, "x": q}, state.grads, state)
+        adam_step({"w": p, "x": q}, state.grads, state, lr=0.1)
     assert state.t == 0
 
 

@@ -360,6 +360,28 @@ class TestInputCheckpointUntouched:
             ckpt, adapt_records, pl.adapt_plan(steps=0)))
 
 
+@pytest.mark.parametrize("stage", ["align", "adapt"])
+def test_output_shares_every_array_it_froze(stage, source_ckpt, aligned_ckpt, corpus,
+                                            adapt_records):
+    """A stage's output holds its start checkpoint's own array for every
+    tensor outside the trained groups, and a fresh read-only copy of every
+    trained one. Adaptation's start is the aligned checkpoint with the
+    target's zero-shot row filled into a copy of the table."""
+    if stage == "align":
+        start, plan = source_ckpt, pl.align_plan(steps=2)
+        out, _ = pl.align_mel_encoder(start, corpus, plan)
+    else:
+        start, plan = aligned_ckpt, pl.adapt_plan(steps=2)
+        out, _ = pl.adapt_untranscribed(start, adapt_records, plan)
+    for name, group in m.param_groups(CFG).items():
+        arr = out.params[name]
+        if group in plan.trainable_groups:
+            assert arr.flags.owndata and not arr.flags.writeable, name
+            assert not np.shares_memory(arr, start.params[name]), name
+        else:
+            assert arr is start.params[name], name
+
+
 def _uncached_align(model, utt, key, cache):
     mel = Tensor(utt.mel)
     spk = model.speaker_context(utt.speaker_id)

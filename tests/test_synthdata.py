@@ -183,9 +183,8 @@ class TestCorpusIo:
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "bad.corpus"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 100)
-        with pytest.raises(CheckpointFormatError) as e:
+        with pytest.raises(CheckpointFormatError, match="magic b'NOTMAGIC' does not match"):
             sd.load_corpus(path)
-        assert e.value.code == "magic"
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.corpus"
@@ -193,9 +192,8 @@ class TestCorpusIo:
         blob = bytearray(path.read_bytes())
         blob[8] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointFormatError) as e:
+        with pytest.raises(CheckpointFormatError, match="format version 99, this build reads"):
             sd.load_corpus(path)
-        assert e.value.code == "version"
 
     @pytest.mark.parametrize("key, value", [("seed", -1), ("noise_sigma", float("nan"))])
     def test_spec_checks_apply_to_a_loaded_file(self, tmp_path, key, value):
@@ -213,9 +211,8 @@ class TestCorpusIo:
         sd.save_corpus(sd.gen_corpus(SPEC, 1, 2), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 40])
-        with pytest.raises(CheckpointFormatError) as e:
+        with pytest.raises(CheckpointFormatError, match="cut short"):
             sd.load_corpus(path)
-        assert e.value.code == "truncated"
 
 
 def test_cached_oracle_tables_are_read_only():

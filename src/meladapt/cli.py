@@ -25,7 +25,7 @@ from . import synthdata as sd
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_text, desk_config, load_config, write_effective_config
 from .errors import ConfigError, MelAdaptError
-from .evalmetrics import paired_report, write_report_csv
+from .evalmetrics import write_report_csv
 
 MEL_MAGIC = b"MAMEL\x00\x00\x01"
 MEL_VERSION = 1
@@ -37,11 +37,20 @@ def _load_cfg(args):
     return desk_config()
 
 
-def _resolve_corpus(path, default_name="source.corpus"):
+def _corpus(path, full, command, mel_dim=None, default_name="source.corpus"):
+    """The corpus `command` reads from `path`, a file or a directory holding
+    `default_name`: a `Corpus` of full records when `full`, else a list of
+    mel-only records. The other kind exits 2, and a file whose mel width is
+    not `mel_dim` (when given) exits 5."""
     p = Path(path)
     if p.is_dir():
         p = p / default_name
-    return p
+    corpus = sd.load_corpus(p, expect_mel_dim=mel_dim)
+    if isinstance(corpus, sd.Corpus) != full:
+        kinds = ("mel-only", "transcript-bearing")
+        raise ConfigError(f"{p}: {command} reads a {kinds[full]} corpus, "
+                          f"not a {kinds[not full]} one")
+    return corpus
 
 
 def _echo_config(cfg, out_path):
@@ -62,9 +71,12 @@ def save_mel(mel, path, speaker_id):
     binio.write_container(path, MEL_MAGIC, MEL_VERSION, meta, {"mel": mel})
 
 
-def load_mel(path):
-    meta, arrays = binio.read_container(path, MEL_MAGIC, MEL_VERSION)
-    return arrays["mel"], meta
+def _finish_stage(cfg, args, ckpt, metrics):
+    """Write a training command's checkpoint, its metrics CSV and the echoed
+    configuration."""
+    save_checkpoint(ckpt, args.out)
+    pl.write_metrics(metrics, str(args.out) + ".metrics.csv")
+    _echo_config(cfg, args.out)
 
 
 def _tail_losses(metrics, stage):
@@ -83,7 +95,7 @@ def cmd_gen_corpus(args):
     out.mkdir(parents=True, exist_ok=True)
     bench = ex.Workbench(cfg, 0)
     source = bench.source_corpus
-    sd.save_corpus(source, out / "source.corpus")
+    sd.save_corpus(source.spec, source.utterances, out / "source.corpus")
     manifest = {
         "spec": sd.spec_meta(bench.spec),
         "source": {"file": "source.corpus", "hash": sd.corpus_hash(source),
@@ -95,8 +107,8 @@ def cmd_gen_corpus(args):
         evals = sd.Corpus(bench.spec, bench.eval_utterances(spk))
         pool_name = f"adapt_{spk}_pool.corpus"
         eval_name = f"adapt_{spk}_eval.corpus"
-        sd.save_corpus(pool, out / pool_name, spec=bench.spec)
-        sd.save_corpus(evals, out / eval_name)
+        sd.save_corpus(bench.spec, pool, out / pool_name)
+        sd.save_corpus(bench.spec, evals.utterances, out / eval_name)
         manifest["adaptation"][str(spk)] = {
             "pool": pool_name, "n_pool": len(pool),
             "eval": eval_name, "eval_hash": sd.corpus_hash(evals),
@@ -110,15 +122,10 @@ def cmd_gen_corpus(args):
 
 def cmd_train_source(args):
     cfg = _load_cfg(args)
-    corpus = sd.load_corpus(_resolve_corpus(args.corpus),
-                            expect_mel_dim=cfg.model.mel_dim)
-    if not isinstance(corpus, sd.Corpus):
-        raise ConfigError("source training needs a transcript-bearing corpus")
+    corpus = _corpus(args.corpus, True, "train-source", cfg.model.mel_dim)
     plan = cfg.source_plan(args.variant)
     ckpt, metrics = pl.train_source(corpus, cfg.model, plan)
-    save_checkpoint(ckpt, args.out)
-    pl.write_metrics(metrics, str(args.out) + ".metrics.csv")
-    _echo_config(cfg, args.out)
+    _finish_stage(cfg, args, ckpt, metrics)
     print(f"final losses: {_tail_losses(metrics, plan.stage)}")
     print(f"trained source model ({plan.steps} steps) -> {args.out}")
 
@@ -126,15 +133,10 @@ def cmd_train_source(args):
 def cmd_align(args):
     cfg = _load_cfg(args)
     ckpt_in = load_checkpoint(args.ckpt)
-    corpus = sd.load_corpus(_resolve_corpus(args.corpus),
-                            expect_mel_dim=cfg.model.mel_dim)
-    if not isinstance(corpus, sd.Corpus):
-        raise ConfigError("aligning needs the transcript-bearing source corpus")
+    corpus = _corpus(args.corpus, True, "align-mel-encoder", ckpt_in.config.mel_dim)
     plan = cfg.align_plan(args.variant)
     ckpt, metrics = pl.align_mel_encoder(ckpt_in, corpus, plan)
-    save_checkpoint(ckpt, args.out)
-    pl.write_metrics(metrics, str(args.out) + ".metrics.csv")
-    _echo_config(cfg, args.out)
+    _finish_stage(cfg, args, ckpt, metrics)
     print(f"final losses: {_tail_losses(metrics, plan.stage)}")
     print(f"aligned mel encoder ({plan.steps} steps) -> {args.out}")
 
@@ -142,13 +144,8 @@ def cmd_align(args):
 def cmd_adapt(args):
     cfg = _load_cfg(args)
     ckpt_in = load_checkpoint(args.ckpt)
-    corpus_path = _resolve_corpus(args.corpus,
-                                  default_name=f"adapt_{args.speaker}_pool.corpus")
-    records = sd.load_corpus(corpus_path)
-    if isinstance(records, sd.Corpus):
-        raise ConfigError(
-            f"{corpus_path} carries transcripts; adaptation consumes mel-only "
-            f"records (strip-transcripts produces them)")
+    records = _corpus(args.corpus, False, "adapt", ckpt_in.config.mel_dim,
+                      default_name=f"adapt_{args.speaker}_pool.corpus")
     records = [r for r in records if r.speaker_id == args.speaker]
     if args.n_utts < 1:
         raise ConfigError(f"--n-utts must be at least 1, got {args.n_utts}")
@@ -157,9 +154,7 @@ def cmd_adapt(args):
                           f"{args.speaker}, corpus holds {len(records)}")
     plan = cfg.adapt_plan(args.variant)
     ckpt, metrics = pl.adapt_untranscribed(ckpt_in, records[: args.n_utts], plan)
-    save_checkpoint(ckpt, args.out)
-    pl.write_metrics(metrics, str(args.out) + ".metrics.csv")
-    _echo_config(cfg, args.out)
+    _finish_stage(cfg, args, ckpt, metrics)
     print(f"consumed fields: {ckpt.provenance.get('field_audit')}")
     print(f"adapted to speaker {args.speaker} with {args.n_utts} utterances "
           f"-> {args.out}")
@@ -189,10 +184,7 @@ def cmd_synthesize(args):
 
 
 def cmd_eval(args):
-    corpus = sd.load_corpus(_resolve_corpus(args.corpus))
-    if not isinstance(corpus, sd.Corpus):
-        raise ConfigError("evaluation needs a transcript-bearing corpus "
-                          "(references come from it)")
+    corpus = _corpus(args.corpus, True, "eval")
     names, seen = [], set()
     for path in args.arms:
         stem = Path(path).stem
@@ -216,11 +208,8 @@ def cmd_eval(args):
     write_report_csv(rows, args.report)
     print(f"wrote {len(rows)} metric rows -> {args.report}")
     if len(names) == 2:
-        lines = []
-        for metric in ex.EVAL_METRICS:
-            rep = paired_report(names[0], values[names[0]][metric],
-                                names[1], values[names[1]][metric], metric=metric)
-            lines.append(rep.summary())
+        reports = ex.paired_reports(names[0], values[names[0]], names[1], values[names[1]])
+        lines = [rep.summary() for rep in reports.values()]
         summary_path = Path(str(args.report) + ".summary.txt")
         binio.write_text(summary_path, "\n".join(lines) + "\n")
         for line in lines:
@@ -237,11 +226,9 @@ def cmd_experiment(args):
 
 
 def cmd_strip_transcripts(args):
-    corpus = sd.load_corpus(_resolve_corpus(args.corpus))
-    if not isinstance(corpus, sd.Corpus):
-        raise ConfigError("corpus is already mel-only")
+    corpus = _corpus(args.corpus, True, "strip-transcripts")
     records = sd.strip_transcripts(corpus, args.speaker)
-    sd.save_corpus(records, args.out, spec=corpus.spec)
+    sd.save_corpus(corpus.spec, records, args.out)
     print(f"stripped {len(records)} records of speaker {args.speaker} -> {args.out}")
 
 

@@ -173,12 +173,3 @@ def write_report_csv(rows, path):
         w.writerow(["utterance_id", "arm", "metric", "value"])
         for uid, arm, metric, value in rows:
             w.writerow([uid, arm, metric, repr(float(value))])
-
-
-def read_report_csv(path):
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((int(row["utterance_id"]), row["arm"], row["metric"],
-                        float(row["value"])))
-    return out

@@ -21,7 +21,16 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError
 from .evalmetrics import mel_distance, paired_report, speaker_proximity, write_report_csv
 
-RECIPES = ("main", "joint", "no-l2", "finetune-all", "data-sweep")
+# paired recipe -> its arms A and B, each (name, adaptation base, adapt
+# variant); an arm with no base is the unadapted aligned checkpoint
+PAIRED = {
+    "main": (("adapted", "main", "main"), ("unadapted", None, None)),
+    "joint": (("main", "main", "main"), ("joint", "joint", "main")),
+    "no-l2": (("main", "main", "main"), ("no_l2", "no_l2", "main")),
+    "finetune-all": (("main", "main", "main"),
+                     ("finetune", "main", "finetune_mel_encoder_and_decoder")),
+}
+RECIPES = (*PAIRED, "data-sweep")
 SWEEP_SIZES = (1, 2, 5, 10, 20, 50, 100)
 
 ADAPT_POOL = 100       # mel-only records generated per adaptation speaker
@@ -141,23 +150,19 @@ class Workbench:
         return pooled
 
 
-def _arm_checkpoints(bench, recipe, n=DEFAULT_ADAPT_N):
-    """(arm_a_name, ckpts_by_speaker, arm_b_name, ckpts_by_speaker)."""
-    speakers = bench.cfg.adapt_speaker_ids()
-    main_arm = {s: bench.adapted(s, n) for s in speakers}
-    if recipe == "main":
-        return "adapted", main_arm, "unadapted", {s: bench.aligned() for s in speakers}
-    if recipe == "joint":
-        return "main", main_arm, "joint", {
-            s: bench.adapted(s, n, base="joint") for s in speakers}
-    if recipe == "no-l2":
-        return "main", main_arm, "no_l2", {
-            s: bench.adapted(s, n, base="no_l2") for s in speakers}
-    if recipe == "finetune-all":
-        return "main", main_arm, "finetune", {
-            s: bench.adapted(s, n, variant="finetune_mel_encoder_and_decoder")
-            for s in speakers}
-    raise ConfigError(f"unknown recipe '{recipe}' (choose from {RECIPES})")
+def _arm(bench, base, variant, n=DEFAULT_ADAPT_N):
+    """{speaker: checkpoint} of one arm over the adaptation speakers: adapted
+    with `n` records from `base` in `variant`, or the aligned checkpoint when
+    `base` is None."""
+    return {s: bench.adapted(s, n, variant, base) if base else bench.aligned()
+            for s in bench.cfg.adapt_speaker_ids()}
+
+
+def paired_reports(name_a, vals_a, name_b, vals_b) -> dict:
+    """{metric: PairedReport} of arm A against arm B, from each arm's values
+    keyed {metric: {uid: value}}."""
+    return {m: paired_report(name_a, vals_a[m], name_b, vals_b[m], metric=m)
+            for m in EVAL_METRICS}
 
 
 @dataclass
@@ -188,11 +193,10 @@ def run_experiment(recipe, cfg, seed=0, out_dir=None) -> ExperimentResult:
 
 
 def _run_paired(bench, recipe) -> ExperimentResult:
-    name_a, arm_a, name_b, arm_b = _arm_checkpoints(bench, recipe)
-    vals_a = bench.evaluate_arm(arm_a)
-    vals_b = bench.evaluate_arm(arm_b)
-    reports = {m: paired_report(name_a, vals_a[m], name_b, vals_b[m], metric=m)
-               for m in EVAL_METRICS}
+    (name_a, *a), (name_b, *b) = PAIRED[recipe]
+    arm_a, arm_b = _arm(bench, *a), _arm(bench, *b)
+    reports = paired_reports(name_a, bench.evaluate_arm(arm_a),
+                             name_b, bench.evaluate_arm(arm_b))
     rows = [row for rep in reports.values() for row in rep.rows()]
     summaries = [rep.summary() for rep in reports.values()]
     return ExperimentResult(recipe=recipe, report_rows=rows, summaries=summaries,
@@ -200,12 +204,11 @@ def _run_paired(bench, recipe) -> ExperimentResult:
 
 
 def _run_sweep(bench) -> ExperimentResult:
-    speakers = bench.cfg.adapt_speaker_ids()
     rows, summaries = [], []
     means = {m: {} for m in EVAL_METRICS}
     for n in SWEEP_SIZES:
         arm = f"n={n}"
-        vals = bench.evaluate_arm({s: bench.adapted(s, n) for s in speakers})
+        vals = bench.evaluate_arm(_arm(bench, "main", "main", n))
         for metric in EVAL_METRICS:
             per_utt = vals[metric]
             for uid in sorted(per_utt):

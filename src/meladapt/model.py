@@ -327,7 +327,7 @@ def duration_predictor(model, h) -> Tensor:
 
 
 def durations_from_log(model, log_pred) -> np.ndarray:
-    data = log_pred.data if isinstance(log_pred, Tensor) else np.asarray(log_pred)
+    data = log_pred.data
     if not np.isfinite(data).all():
         raise NumericError("non-finite duration prediction")
     frames = np.rint(np.exp(data.reshape(-1)) - 1.0)

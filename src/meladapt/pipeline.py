@@ -144,14 +144,6 @@ def source_plan(variant="main", **settings):
     return SourceOpts(variant=variant, **settings)
 
 
-def align_plan(variant="main", **settings):
-    return AlignOpts(variant=variant, **settings)
-
-
-def adapt_plan(variant="main", **settings):
-    return AdaptOpts(variant=variant, **settings)
-
-
 # -- per-stage loss builders ----------------------------------------------
 
 

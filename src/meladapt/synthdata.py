@@ -114,8 +114,6 @@ class Utterance:
             raise ConfigError(
                 f"durations sum {int(self.durations.sum())} != {self.mel.shape[0]} frames"
             )
-        if not np.isfinite(self.mel).all():
-            raise ConfigError("non-finite mel")
 
 
 @dataclass
@@ -235,15 +233,8 @@ def spec_meta(spec):
             "mel_dim": spec.mel_dim, "noise_sigma": spec.noise_sigma}
 
 
-def save_corpus(corpus_or_records, path, spec=None):
-    """Accepts a Corpus or a list of MelOnlyUtterance (then `spec` required)."""
-    if isinstance(corpus_or_records, Corpus):
-        spec = corpus_or_records.spec
-        records = corpus_or_records.utterances
-    else:
-        if spec is None:
-            raise ConfigError("mel-only record list needs an explicit spec")
-        records = corpus_or_records
+def save_corpus(spec, records, path):
+    """Write `records` (full or mel-only) of the oracle `spec` to `path`."""
     meta = {"spec": spec_meta(spec), "records": [_record_meta(u) for u in records]}
     arrays = {}
     for i, u in enumerate(records):
@@ -322,7 +313,7 @@ def load_corpus(path, expect_mel_dim=None):
         raise CheckpointFormatError(f"{path}: malformed corpus meta: {exc}") from exc
     if expect_mel_dim is not None and spec.mel_dim != expect_mel_dim:
         raise CheckpointFormatError(
-            f"{path}: corpus mel_dim {spec.mel_dim}, configuration wants {expect_mel_dim}"
+            f"{path}: corpus mel_dim {spec.mel_dim}, the model's is {expect_mel_dim}"
         )
     records = [_load_record(path, i, rm, arrays, spec)
                for i, rm in enumerate(record_meta)]

@@ -56,12 +56,12 @@ def run_tiny(tmp_dir):
     corpus = sd.gen_corpus(SPEC, 3, 10)
     records = sd.strip_transcripts(sd.gen_corpus(SPEC, 1, 10, first_speaker=3), 3)
     source, rows = pl.train_source(corpus, CFG, pl.source_plan(steps=2, seed=0))
-    aligned, more = pl.align_mel_encoder(source, corpus, pl.align_plan(steps=2, seed=1))
+    aligned, more = pl.align_mel_encoder(source, corpus, pl.AlignOpts(steps=2, seed=1))
     rows += more
     ckpts = {"source": source, "aligned": aligned}
     for variant in pl.TRAINS[pl.STAGE_ADAPT]:
-        ckpts[variant], more = pl.adapt_untranscribed(
-            aligned, records, pl.adapt_plan(variant, steps=2, seed=2, learning_rate=1e-3))
+        plan = pl.AdaptOpts(variant=variant, steps=2, seed=2, learning_rate=1e-3)
+        ckpts[variant], more = pl.adapt_untranscribed(aligned, records, plan)
         rows += more
     hashes = {}
     Path(tmp_dir).mkdir(parents=True, exist_ok=True)

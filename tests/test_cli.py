@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import struct
@@ -9,7 +10,6 @@ import pytest
 from meladapt import binio, cli
 from meladapt import synthdata as sd
 from meladapt.checkpoint import CKPT_MAGIC, CKPT_VERSION, load_checkpoint
-from meladapt.evalmetrics import read_report_csv
 
 TINY_CFG = """\
 [model]
@@ -141,7 +141,8 @@ class TestPipelineCommands:
         assert cli.main(["synthesize", "--ckpt", str(workdir / "adapted.ckpt"),
                          "--text-file", str(text), "--speaker", "3",
                          "--out", str(out)]) == 0
-        mel, meta = cli.load_mel(out)
+        meta, arrays = binio.read_container(out, cli.MEL_MAGIC, cli.MEL_VERSION)
+        mel = arrays["mel"]
         assert mel.shape[1] == 6
         assert mel.shape[0] >= 5
         assert meta["speaker_id"] == 3
@@ -163,8 +164,8 @@ class TestPipelineCommands:
                          str(workdir / "aligned.ckpt"),
                          "--corpus", str(workdir / "data" / "adapt_3_eval.corpus"),
                          "--report", str(report)]) == 0
-        rows = read_report_csv(report)
-        arms = {r[1] for r in rows}
+        with open(report, newline="") as fh:
+            arms = {row["arm"] for row in csv.DictReader(fh)}
         assert arms == {"adapted", "aligned"}
         assert Path(str(report) + ".summary.txt").is_file()
 
@@ -175,6 +176,35 @@ class TestPipelineCommands:
                          "--speaker", "3", "--out", str(out)]) == 0
         records = sd.load_corpus(out)
         assert records and all(isinstance(r, sd.MelOnlyUtterance) for r in records)
+
+    # each command with a corpus of the kind it does not read; the tiny
+    # checkpoints and corpora have mel_dim 6
+    @pytest.mark.parametrize("command, corpus, args", [
+        ("train-source", "adapt_3_pool.corpus", ["--config", "tiny.cfg"]),
+        ("align-mel-encoder", "adapt_3_pool.corpus", ["--ckpt", "source.ckpt"]),
+        ("adapt", "source.corpus", ["--ckpt", "aligned.ckpt", "--speaker", "0",
+                                    "--n-utts", "2"]),
+        ("eval", "adapt_3_pool.corpus", ["--arms", "adapted.ckpt"]),
+        ("strip-transcripts", "adapt_3_pool.corpus", ["--speaker", "3"])])
+    def test_wrong_corpus_kind_is_exit_2(self, workdir, tmp_path, command, corpus, args,
+                                         capsys):
+        path = workdir / "data" / corpus
+        args = [str(workdir / a) if a.endswith((".cfg", ".ckpt")) else a for a in args]
+        out = tmp_path / "never.out"
+        flag = "--report" if command == "eval" else "--out"
+        code = cli.main([command, "--corpus", str(path), *args, flag, str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{command} reads a" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_align_takes_mel_dim_from_checkpoint(self, workdir, tmp_path):
+        # no --config: the desk profile's [model] has mel_dim 16, the tiny
+        # checkpoint and corpus 6
+        out = tmp_path / "aligned.ckpt"
+        assert cli.main(["align-mel-encoder", "--ckpt", str(workdir / "source.ckpt"),
+                         "--corpus", str(workdir / "data"), "--out", str(out)]) == 0
+        assert load_checkpoint(out).config.mel_dim == 6
 
 
 class TestExitCodes:
@@ -258,6 +288,17 @@ class TestExitCodes:
         assert "array 'u000001.mel' holds a non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "never.ckpt").exists()
 
+    def test_adapt_pool_of_other_mel_width_is_exit_5(self, workdir, tmp_path, capsys):
+        spec = sd.OracleSpec(seed=11, phoneme_vocab_size=8, mel_dim=8)
+        pool = tmp_path / "wide.corpus"
+        sd.save_corpus(spec, sd.strip_transcripts(sd.gen_corpus(spec, 1, 4, 3), 3), pool)
+        code = cli.main(["adapt", "--ckpt", str(workdir / "aligned.ckpt"),
+                         "--corpus", str(pool), "--speaker", "3", "--n-utts", "4",
+                         "--out", str(tmp_path / "never.ckpt")])
+        assert code == 5
+        assert "corpus mel_dim 8, the model's is 6" in capsys.readouterr().err
+        assert not (tmp_path / "never.ckpt").exists()
+
     # the tiny model's speaker table has 5 rows
     @pytest.mark.parametrize("trained", [5, ["a"], [99], [[1]], [-1], [1.5], [True]])
     def test_corrupt_trained_speakers_is_exit_5(self, workdir, tmp_path, trained, capsys):
@@ -312,7 +353,7 @@ class TestExitCodes:
         "records_not_a_list", "durations_off_mel_frames", "mel_width_off_spec",
         "string_speaker_id", "float_phonemes", "pitch_one_frame_short",
         "phoneme_without_duration", "phoneme_outside_vocabulary",
-        "negative_duration", "int64_mel", "nan_pitch"])
+        "negative_duration", "int64_mel", "nan_pitch", "nan_mel"])
     def test_corrupt_corpus_is_exit_5(self, workdir, tmp_path, breakage, capsys):
         meta, arrays = binio.read_container(workdir / "data" / "adapt_3_eval.corpus",
                                             sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
@@ -330,6 +371,8 @@ class TestExitCodes:
             arrays["u000000.mel"] = arrays["u000000.mel"][:, :-1]
         elif breakage == "nan_pitch":
             arrays["u000000.pitch"][3] = np.nan
+        elif breakage == "nan_mel":
+            arrays["u000000.mel"][1, 0] = np.nan
         elif breakage == "int64_mel":
             arrays["u000000.mel"] = arrays["u000000.mel"].astype(np.int64)
         elif breakage == "float_phonemes":

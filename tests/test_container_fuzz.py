@@ -30,8 +30,8 @@ def valid(tmp_path_factory):
     model = m.TtsModel(TINY, m.init_params(TINY, 1))
     cp.save_checkpoint(cp.Checkpoint.from_model(model, provenance={"stage": "source_training"}),
                        paths["checkpoint"])
-    sd.save_corpus(corpus, paths["corpus"])
-    sd.save_corpus(sd.strip_transcripts(corpus, 1), paths["mel_only_corpus"], spec=spec)
+    sd.save_corpus(spec, corpus.utterances, paths["corpus"])
+    sd.save_corpus(spec, sd.strip_transcripts(corpus, 1), paths["mel_only_corpus"])
     out = {}
     for kind, path in paths.items():
         blob = path.read_bytes()

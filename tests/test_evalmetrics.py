@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -240,7 +241,9 @@ class TestPairedReport:
         rep = ev.paired_report("main", a, "joint", b)
         path = tmp_path / "report.csv"
         ev.write_report_csv(rep.rows(), path)
-        rows = ev.read_report_csv(path)
+        with open(path, newline="") as fh:
+            rows = [(int(r["utterance_id"]), r["arm"], r["metric"], float(r["value"]))
+                    for r in csv.DictReader(fh)]
         assert (1, "main", "mel_mae", 0.5) in rows
         assert (3, "joint", "mel_mae", 0.125) in rows
         assert len(rows) == 4

@@ -42,7 +42,7 @@ def source_ckpt(corpus):
 
 @pytest.fixture(scope="module")
 def aligned_ckpt(source_ckpt, corpus):
-    ckpt, _ = pl.align_mel_encoder(source_ckpt, corpus, pl.align_plan(steps=25, seed=1))
+    ckpt, _ = pl.align_mel_encoder(source_ckpt, corpus, pl.AlignOpts(steps=25, seed=1))
     return ckpt
 
 
@@ -73,10 +73,10 @@ class TestStagePlan:
         assert set(plan.trainable_groups) == set(m.GROUPS) - {"MelEncoder"}
 
     def test_align_trains_exactly_mel_encoder(self):
-        assert set(pl.align_plan(steps=1).trainable_groups) == {"MelEncoder"}
+        assert set(pl.AlignOpts(steps=1).trainable_groups) == {"MelEncoder"}
 
     def test_adapt_trains_cln_and_row(self):
-        assert set(pl.adapt_plan(steps=1).trainable_groups) == {
+        assert set(pl.AdaptOpts(steps=1).trainable_groups) == {
             "ConditionalLN", "SpeakerTable"}
 
     def test_wrong_trainable_set_rejected(self):
@@ -85,9 +85,9 @@ class TestStagePlan:
         with pytest.raises(TypeError):
             pl.AlignOpts(trainable_groups=frozenset({"DecoderCore"}))
         with pytest.raises(TypeError):
-            replace(pl.align_plan(steps=1), trainable_groups=frozenset({"DecoderCore"}))
+            replace(pl.AlignOpts(steps=1), trainable_groups=frozenset({"DecoderCore"}))
         with pytest.raises(TypeError):
-            replace(pl.align_plan(steps=1), stage=pl.STAGE_ADAPT)
+            replace(pl.AlignOpts(steps=1), stage=pl.STAGE_ADAPT)
 
     @pytest.mark.parametrize("stage,variant,groups", TRAINABLE)
     def test_trainable_groups_per_stage_and_variant(self, stage, variant, groups):
@@ -112,12 +112,12 @@ class TestStagePlan:
         assert (plan.stage, plan.variant) not in pl.RECORDED_ONLY
 
     def test_no_l2_zeroes_alignment_weight(self):
-        plan = pl.align_plan(steps=1, variant="no_l2")
+        plan = pl.AlignOpts(steps=1, variant="no_l2")
         assert pl.RECORDED_ONLY[(plan.stage, plan.variant)] == "alignment"
         assert set(plan.trainable_groups) == {"MelEncoder"}
 
     def test_finetune_variant_extends_adaptation_set(self):
-        plan = pl.adapt_plan(steps=1, variant="finetune_mel_encoder_and_decoder")
+        plan = pl.AdaptOpts(steps=1, variant="finetune_mel_encoder_and_decoder")
         assert set(plan.trainable_groups) == {
             "ConditionalLN", "SpeakerTable", "MelEncoder", "DecoderCore"}
 
@@ -187,7 +187,7 @@ class TestAlignMelEncoder:
 
     def test_alignment_strictly_decreases(self, source_ckpt, corpus):
         _, metrics = pl.align_mel_encoder(
-            source_ckpt, corpus, pl.align_plan(steps=40, seed=4))
+            source_ckpt, corpus, pl.AlignOpts(steps=40, seed=4))
         curve = [v for s, st, n, v in metrics if n == "alignment"]
         assert curve[-1] < curve[0]
 
@@ -196,7 +196,7 @@ class TestAlignMelEncoder:
     def test_total_counts_each_loss_once(self, source_ckpt, corpus, variant, in_total):
         # no_l2 still records the alignment loss but leaves it out of the total
         _, metrics = pl.align_mel_encoder(
-            source_ckpt, corpus, pl.align_plan(variant, steps=1))
+            source_ckpt, corpus, pl.AlignOpts(variant=variant, steps=1))
         step0 = {n: v for s, st, n, v in metrics if s == 0}
         assert step0.keys() == {"reconstruction", "alignment", "total"}
         assert step0["total"] == pytest.approx(sum(step0[n] for n in in_total), rel=1e-12)
@@ -209,7 +209,7 @@ class TestAlignMelEncoder:
         monkeypatch.setattr(m.TtsModel, "set_trainable",
                             lambda self, groups: real(self, set(m.GROUPS)))
         with pytest.raises(FreezeViolation):
-            pl.align_mel_encoder(source_ckpt, corpus, pl.align_plan(steps=2, seed=1))
+            pl.align_mel_encoder(source_ckpt, corpus, pl.AlignOpts(steps=2, seed=1))
 
     def test_nan_abort_keeps_last_good(self, source_ckpt, corpus):
         bad = cp.Checkpoint(
@@ -218,7 +218,7 @@ class TestAlignMelEncoder:
                     for n, a in source_ckpt.params.items()},
             provenance=dict(source_ckpt.provenance))
         with np.errstate(all="ignore"), pytest.raises(NumericError) as e:
-            pl.align_mel_encoder(bad, corpus, pl.align_plan(steps=5))
+            pl.align_mel_encoder(bad, corpus, pl.AlignOpts(steps=5))
         assert hasattr(e.value, "last_good")
         assert e.value.last_good.provenance["aborted"] is True
         # nothing was applied: parameters still bitwise equal to the input
@@ -230,7 +230,7 @@ class TestAdaptUntranscribed:
         # no step runs, yet the output is an adaptation: its provenance and
         # the target's zero-shot row, and nothing else changed
         out, metrics = pl.adapt_untranscribed(aligned_ckpt, adapt_records,
-                                              pl.adapt_plan(steps=0))
+                                              pl.AdaptOpts(steps=0))
         target = adapt_records[0].speaker_id
         trained = aligned_ckpt.provenance["trained_speakers"]
         assert metrics == []
@@ -246,7 +246,7 @@ class TestAdaptUntranscribed:
 
     def test_diff_confined_to_cln_and_row(self, aligned_ckpt, adapt_records):
         out, _ = pl.adapt_untranscribed(aligned_ckpt, adapt_records,
-                                        pl.adapt_plan(steps=8, seed=2))
+                                        pl.AdaptOpts(steps=8, seed=2))
         for name in cp.param_diff(aligned_ckpt, out):
             assert ".cln" in name or name == "speaker_table", name
         before = aligned_ckpt.params["speaker_table"]
@@ -265,7 +265,7 @@ class TestAdaptUntranscribed:
         monkeypatch.setattr(pl, "_adapt_losses", wrong_row)
         with pytest.raises(FreezeViolation, match="speaker_table"):
             pl.adapt_untranscribed(aligned_ckpt, adapt_records,
-                                   pl.adapt_plan(steps=2, seed=2))
+                                   pl.AdaptOpts(steps=2, seed=2))
 
     def test_nan_in_an_array_it_never_touches_passes_the_audit(self, aligned_ckpt,
                                                                adapt_records):
@@ -276,39 +276,39 @@ class TestAdaptUntranscribed:
                               {**aligned_ckpt.params, "phoneme_embed": embed},
                               aligned_ckpt.provenance)
         out, _ = pl.adapt_untranscribed(start, adapt_records,
-                                        pl.adapt_plan(steps=2, seed=2))
+                                        pl.AdaptOpts(steps=2, seed=2))
         assert "phoneme_embed" not in cp.param_diff(start, out)
 
     def test_transcript_bearing_record_rejected(self, aligned_ckpt, corpus):
         with pytest.raises(ConfigError, match="mel-only"):
             pl.adapt_untranscribed(aligned_ckpt, corpus.of_speaker(0)[:2],
-                                   pl.adapt_plan(steps=1))
+                                   pl.AdaptOpts(steps=1))
 
     def test_record_count_bounds(self, aligned_ckpt, adapt_records):
         with pytest.raises(ConfigError):
-            pl.adapt_untranscribed(aligned_ckpt, [], pl.adapt_plan(steps=1))
+            pl.adapt_untranscribed(aligned_ckpt, [], pl.AdaptOpts(steps=1))
         too_many = adapt_records * 11  # 110 records
         with pytest.raises(ConfigError):
-            pl.adapt_untranscribed(aligned_ckpt, too_many, pl.adapt_plan(steps=1))
+            pl.adapt_untranscribed(aligned_ckpt, too_many, pl.AdaptOpts(steps=1))
 
     def test_mixed_speakers_rejected(self, aligned_ckpt, corpus):
         mixed = [sd.MelOnlyUtterance(0, 0, corpus.utterances[0].mel),
                  sd.MelOnlyUtterance(1, 0, corpus.utterances[0].mel)]
         with pytest.raises(ConfigError, match="speakers"):
-            pl.adapt_untranscribed(aligned_ckpt, mixed, pl.adapt_plan(steps=1))
+            pl.adapt_untranscribed(aligned_ckpt, mixed, pl.AdaptOpts(steps=1))
 
     def test_field_audit_in_provenance(self, aligned_ckpt, adapt_records):
         out, _ = pl.adapt_untranscribed(aligned_ckpt, adapt_records,
-                                        pl.adapt_plan(steps=3, seed=0))
+                                        pl.AdaptOpts(steps=3, seed=0))
         assert out.provenance["field_audit"] == ["mel", "speaker_id"]
         assert out.provenance["adapted_speaker"] == 3
         assert 3 in out.provenance["trained_speakers"]
 
     def test_determinism(self, aligned_ckpt, adapt_records):
         a, _ = pl.adapt_untranscribed(aligned_ckpt, adapt_records,
-                                      pl.adapt_plan(steps=6, seed=2))
+                                      pl.AdaptOpts(steps=6, seed=2))
         b, _ = pl.adapt_untranscribed(aligned_ckpt, adapt_records,
-                                      pl.adapt_plan(steps=6, seed=2))
+                                      pl.AdaptOpts(steps=6, seed=2))
         assert cp.param_diff(a, b) == []
 
 
@@ -340,11 +340,11 @@ class TestInputCheckpointUntouched:
     def test_align(self, source_ckpt, corpus):
         ckpt = self._own(source_ckpt)
         self._assert_untouched(ckpt, lambda: pl.align_mel_encoder(
-            ckpt, corpus, pl.align_plan(steps=3, seed=1)))
+            ckpt, corpus, pl.AlignOpts(steps=3, seed=1)))
 
     def test_adapt_zero_shot_row(self, aligned_ckpt, adapt_records):
         ckpt = self._own(aligned_ckpt)
-        plan = pl.adapt_plan(steps=3, seed=2)
+        plan = pl.AdaptOpts(steps=3, seed=2)
         target = adapt_records[0].speaker_id
         trained = ckpt.provenance["trained_speakers"]
         table = ckpt.params["speaker_table"]
@@ -357,7 +357,7 @@ class TestInputCheckpointUntouched:
     def test_adapt_zero_steps(self, aligned_ckpt, adapt_records):
         ckpt = self._own(aligned_ckpt)
         self._assert_untouched(ckpt, lambda: pl.adapt_untranscribed(
-            ckpt, adapt_records, pl.adapt_plan(steps=0)))
+            ckpt, adapt_records, pl.AdaptOpts(steps=0)))
 
 
 @pytest.mark.parametrize("stage", ["align", "adapt"])
@@ -368,10 +368,10 @@ def test_output_shares_every_array_it_froze(stage, source_ckpt, aligned_ckpt, co
     trained one. Adaptation's start is the aligned checkpoint with the
     target's zero-shot row filled into a copy of the table."""
     if stage == "align":
-        start, plan = source_ckpt, pl.align_plan(steps=2)
+        start, plan = source_ckpt, pl.AlignOpts(steps=2)
         out, _ = pl.align_mel_encoder(start, corpus, plan)
     else:
-        start, plan = aligned_ckpt, pl.adapt_plan(steps=2)
+        start, plan = aligned_ckpt, pl.AdaptOpts(steps=2)
         out, _ = pl.adapt_untranscribed(start, adapt_records, plan)
     for name, group in m.param_groups(CFG).items():
         arr = out.params[name]
@@ -419,7 +419,7 @@ class TestFrozenCache:
     @pytest.mark.parametrize("variant", ["main", "finetune_mel_encoder_and_decoder"])
     def test_adapt_bit_exact_with_uncached_loop(self, aligned_ckpt, adapt_records,
                                                variant, monkeypatch, tmp_path):
-        plan = pl.adapt_plan(steps=8, seed=2, variant=variant)
+        plan = pl.AdaptOpts(steps=8, seed=2, variant=variant)
         cached, cached_metrics = pl.adapt_untranscribed(aligned_ckpt, adapt_records, plan)
         monkeypatch.setattr(pl, "_adapt_losses", _uncached_adapt)
         plain, plain_metrics = pl.adapt_untranscribed(aligned_ckpt, adapt_records, plan)
@@ -429,7 +429,7 @@ class TestFrozenCache:
 
     def test_align_bit_exact_with_uncached_loop(self, source_ckpt, corpus,
                                                monkeypatch, tmp_path):
-        plan = pl.align_plan(steps=8, seed=1)
+        plan = pl.AlignOpts(steps=8, seed=1)
         cached, cached_metrics = pl.align_mel_encoder(source_ckpt, corpus, plan)
         monkeypatch.setattr(pl, "_align_losses", _uncached_align)
         plain, plain_metrics = pl.align_mel_encoder(source_ckpt, corpus, plan)
@@ -440,20 +440,20 @@ class TestFrozenCache:
     def test_adapt_encodes_each_record_once(self, aligned_ckpt, adapt_records,
                                             monkeypatch):
         calls = self._counting(monkeypatch, me, "mel_encoder_forward")
-        plan = pl.adapt_plan(steps=8, seed=2)
+        plan = pl.AdaptOpts(steps=8, seed=2)
         pl.adapt_untranscribed(aligned_ckpt, adapt_records, plan)
         assert 0 < len(calls) <= len(adapt_records) < plan.steps * plan.batch_size
 
     def test_finetune_recomputes_every_pick(self, aligned_ckpt, adapt_records,
                                             monkeypatch):
         calls = self._counting(monkeypatch, me, "mel_encoder_forward")
-        plan = pl.adapt_plan(steps=3, seed=2, variant="finetune_mel_encoder_and_decoder")
+        plan = pl.AdaptOpts(steps=3, seed=2, variant="finetune_mel_encoder_and_decoder")
         pl.adapt_untranscribed(aligned_ckpt, adapt_records, plan)
         assert len(calls) == plan.steps * plan.batch_size
 
     def test_align_encodes_mel_once_per_pick(self, source_ckpt, corpus, monkeypatch):
         calls = self._counting(monkeypatch, me, "mel_encoder_forward")
-        plan = pl.align_plan(steps=3, seed=1)
+        plan = pl.AlignOpts(steps=3, seed=1)
         pl.align_mel_encoder(source_ckpt, corpus, plan)
         assert len(calls) == plan.steps * plan.batch_size
 
@@ -466,7 +466,7 @@ class TestFrozenCache:
     def test_align_encodes_phonemes_once_per_record(self, source_ckpt, corpus,
                                                     monkeypatch):
         calls = self._counting(monkeypatch, m, "encode_phonemes")
-        plan = pl.align_plan(steps=10, seed=1)
+        plan = pl.AlignOpts(steps=10, seed=1)
         pl.align_mel_encoder(source_ckpt, corpus, plan)
         n = len(corpus.train_split().utterances)
         assert 0 < len(calls) <= n < plan.steps * plan.batch_size
@@ -480,7 +480,7 @@ class TestFrozenCache:
             params={n: a * 1.5 if n == "melenc.in.w" else a.copy()
                     for n, a in aligned_ckpt.params.items()},
             provenance=dict(aligned_ckpt.provenance))
-        plan = pl.adapt_plan(steps=5, seed=2)
+        plan = pl.AdaptOpts(steps=5, seed=2)
         pl.adapt_untranscribed(source_ckpt, adapt_records, plan)
         second, second_metrics = pl.adapt_untranscribed(fresh, adapt_records, plan)
         monkeypatch.setattr(pl, "_adapt_losses", _uncached_adapt)
@@ -497,12 +497,12 @@ class TestStageLoop:
                    "_source_losses"),
         "joint": (lambda c, s, a, r: pl.train_source(
             c, CFG, pl.source_plan(steps=2, variant="joint_training")), "_source_losses"),
-        "align": (lambda c, s, a, r: pl.align_mel_encoder(s, c, pl.align_plan(steps=2)),
+        "align": (lambda c, s, a, r: pl.align_mel_encoder(s, c, pl.AlignOpts(steps=2)),
                   "_align_losses"),
-        "adapt": (lambda c, s, a, r: pl.adapt_untranscribed(a, r, pl.adapt_plan(steps=2)),
+        "adapt": (lambda c, s, a, r: pl.adapt_untranscribed(a, r, pl.AdaptOpts(steps=2)),
                   "_adapt_losses"),
         "adapt_finetune": (lambda c, s, a, r: pl.adapt_untranscribed(
-            a, r, pl.adapt_plan(steps=2, variant="finetune_mel_encoder_and_decoder")),
+            a, r, pl.AdaptOpts(steps=2, variant="finetune_mel_encoder_and_decoder")),
             "_adapt_losses"),
     }
 
@@ -572,9 +572,9 @@ class TestStageLoop:
             plan = pl.source_plan(steps=2)
             pl.train_source(corpus, CFG, plan)
         elif stage == "align":
-            pl.align_mel_encoder(source_ckpt, corpus, pl.align_plan(steps=2))
+            pl.align_mel_encoder(source_ckpt, corpus, pl.AlignOpts(steps=2))
         else:
-            pl.adapt_untranscribed(aligned_ckpt, adapt_records, pl.adapt_plan(steps=2))
+            pl.adapt_untranscribed(aligned_ckpt, adapt_records, pl.AdaptOpts(steps=2))
         (state,), (before,) = states, audited
         for name, arr in before.params.items():
             assert not arr.flags.writeable, name
@@ -646,7 +646,7 @@ class TestStageLoop:
         try:
             (gc.enable if enabled else gc.disable)()
             with np.errstate(all="ignore"), pytest.raises(NumericError):
-                pl.align_mel_encoder(bad, corpus, pl.align_plan(steps=5))
+                pl.align_mel_encoder(bad, corpus, pl.AlignOpts(steps=5))
             after = gc.isenabled()
         finally:
             (gc.enable if was else gc.disable)()
@@ -776,7 +776,7 @@ class TestInferenceModel:
         used = cp.load_checkpoint(path)
         pl.synthesize(used, [0, 1, 2], 0)
         assert used.to_model() is not used.inference_model
-        plan = pl.align_plan(steps=2, seed=1)
+        plan = pl.AlignOpts(steps=2, seed=1)
         out_used, _ = pl.align_mel_encoder(used, corpus, plan)
         out_fresh, _ = pl.align_mel_encoder(cp.load_checkpoint(path), corpus, plan)
         assert (_ckpt_bytes(out_used, tmp_path / "used.ckpt")

@@ -158,9 +158,9 @@ class TestCorpusIo:
     def test_round_trip_byte_identical(self, tmp_path):
         corpus = sd.gen_corpus(SPEC, 2, 4)
         p1, p2 = tmp_path / "a.corpus", tmp_path / "b.corpus"
-        sd.save_corpus(corpus, p1)
+        sd.save_corpus(SPEC, corpus.utterances, p1)
         loaded = sd.load_corpus(p1)
-        sd.save_corpus(loaded, p2)
+        sd.save_corpus(loaded.spec, loaded.utterances, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert sd.corpus_hash(loaded) == sd.corpus_hash(corpus)
 
@@ -168,7 +168,7 @@ class TestCorpusIo:
         corpus = sd.gen_corpus(SPEC, 2, 3)
         stripped = sd.strip_transcripts(corpus, 1)
         path = tmp_path / "adapt.corpus"
-        sd.save_corpus(stripped, path, spec=SPEC)
+        sd.save_corpus(SPEC, stripped, path)
         loaded = sd.load_corpus(path)
         assert isinstance(loaded, list)
         assert all(isinstance(r, sd.MelOnlyUtterance) for r in loaded)
@@ -176,7 +176,7 @@ class TestCorpusIo:
 
     def test_mel_dim_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.corpus"
-        sd.save_corpus(sd.gen_corpus(SPEC, 1, 2), path)
+        sd.save_corpus(SPEC, sd.gen_corpus(SPEC, 1, 2).utterances, path)
         with pytest.raises(CheckpointFormatError):
             sd.load_corpus(path, expect_mel_dim=80)
 
@@ -188,7 +188,7 @@ class TestCorpusIo:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.corpus"
-        sd.save_corpus(sd.gen_corpus(SPEC, 1, 2), path)
+        sd.save_corpus(SPEC, sd.gen_corpus(SPEC, 1, 2).utterances, path)
         blob = bytearray(path.read_bytes())
         blob[8] = 99
         path.write_bytes(bytes(blob))
@@ -198,7 +198,7 @@ class TestCorpusIo:
     @pytest.mark.parametrize("key, value", [("seed", -1), ("noise_sigma", float("nan"))])
     def test_spec_checks_apply_to_a_loaded_file(self, tmp_path, key, value):
         path = tmp_path / "s.corpus"
-        sd.save_corpus(sd.gen_corpus(SPEC, 1, 2), path)
+        sd.save_corpus(SPEC, sd.gen_corpus(SPEC, 1, 2).utterances, path)
         meta, arrays = binio.read_container(path, sd.CORPUS_MAGIC, sd.CORPUS_VERSION)
         meta["spec"][key] = value
         binio.write_container(path, sd.CORPUS_MAGIC, sd.CORPUS_VERSION, meta, arrays)
@@ -208,7 +208,7 @@ class TestCorpusIo:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.corpus"
-        sd.save_corpus(sd.gen_corpus(SPEC, 1, 2), path)
+        sd.save_corpus(SPEC, sd.gen_corpus(SPEC, 1, 2).utterances, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 40])
         with pytest.raises(CheckpointFormatError, match="cut short"):

@@ -30,15 +30,17 @@ def atomic_write(path, mode="wb", **open_kwargs):
     """A file, opened with `mode`, whose contents replace `path` in one
     `os.replace` when the block exits cleanly.
 
-    The temporary file sits beside `path`, so the rename stays on one file
-    system. If the block raises, the temporary file is removed and `path`
-    keeps its prior contents. Nothing is fsynced: this guards against a
-    writer that fails or is killed (which may leave the temporary file),
-    not against a power loss.
+    A missing parent directory is created first. The temporary file sits
+    beside `path`, so the rename stays on one file system. If the block
+    raises, the temporary file is removed and `path` keeps its prior
+    contents. Nothing is fsynced: this guards against a writer that fails
+    or is killed (which may leave the temporary file), not a power loss.
     """
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    if head and not os.path.isdir(head):
+        os.makedirs(head, exist_ok=True)
     try:
         with open(tmp, mode, **open_kwargs) as fh:
             yield fh

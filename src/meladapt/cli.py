@@ -59,7 +59,6 @@ def _echo_config(cfg, out_path):
     if out_path.is_dir():
         return write_effective_config(cfg, out_path)
     target = out_path.with_name(out_path.name + ".cfg")
-    target.parent.mkdir(parents=True, exist_ok=True)
     binio.write_text(target, config_text(cfg))
     return target
 
@@ -92,7 +91,6 @@ def _tail_losses(metrics, stage):
 def cmd_gen_corpus(args):
     cfg = _load_cfg(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bench = ex.Workbench(cfg, 0)
     source = bench.source_corpus
     sd.save_corpus(source.spec, source.utterances, out / "source.corpus")

@@ -136,8 +136,6 @@ def config_text(cfg: RunConfig) -> str:
 
 
 def write_effective_config(cfg: RunConfig, out_dir) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "effective.cfg"
+    target = Path(out_dir) / "effective.cfg"
     write_text(target, config_text(cfg))
     return target

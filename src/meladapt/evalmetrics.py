@@ -25,7 +25,6 @@ _FLOOR = 0.7  # score resolution limit, in units of inter-speaker spread
 @dataclass(frozen=True)
 class MelDistance:
     value: float
-    truncation_fraction: float  # share of the longer input dropped
 
 
 def mel_distance(a, b) -> MelDistance:
@@ -36,9 +35,7 @@ def mel_distance(a, b) -> MelDistance:
     t = min(a.shape[0], b.shape[0])
     if t == 0:
         raise ConfigError("empty frame overlap between compared mels")
-    longest = max(a.shape[0], b.shape[0])
-    value = float(np.abs(a[:t] - b[:t]).mean())
-    return MelDistance(value=value, truncation_fraction=1.0 - t / longest)
+    return MelDistance(value=float(np.abs(a[:t] - b[:t]).mean()))
 
 
 @lru_cache(maxsize=64)

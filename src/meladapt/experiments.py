@@ -1,14 +1,13 @@
 """Reproducible experiment recipes over the four-stage pipeline.
 
-A `Workbench` owns one seeded run: the oracle corpus, the stage plans, and a
-cache of stage checkpoints so paired recipe arms share everything upstream of
-the step where they differ (the no-alignment arm reuses the main source
-checkpoint, the decoder-finetune arm reuses source and aligning, and so on).
-`run_experiment` drives a named recipe and writes checkpoints, per-utterance
-reports, and summaries into an output directory; identical (config, recipe,
-seed) triples produce byte-identical files. `reference_record` runs every
-recipe on one `Workbench` and returns the numbers configs/reference_desk.json
-pins.
+An arm is a chain, the (stage, variant) steps it runs in order from a fresh
+initialisation. A `Workbench` owns one seeded run: the oracle corpus and a
+cache of checkpoints by chain, so paired arms share every step before their
+chains part. `run_experiment` drives a named recipe and writes checkpoints,
+per-utterance reports, and summaries into an output directory; identical
+(config, recipe, seed) triples produce byte-identical files. `reference_record`
+runs every recipe on one `Workbench` and returns the numbers
+configs/reference_desk.json pins.
 """
 
 from dataclasses import dataclass, field, replace
@@ -18,17 +17,25 @@ from . import pipeline as pl
 from . import synthdata as sd
 from .binio import write_text
 from .checkpoint import save_checkpoint
+from .config import write_effective_config
 from .errors import ConfigError
 from .evalmetrics import mel_distance, paired_report, speaker_proximity, write_report_csv
 
-# paired recipe -> its arms A and B, each (name, adaptation base, adapt
-# variant); an arm with no base is the unadapted aligned checkpoint
+SOURCE = ((pl.STAGE_SOURCE, "main"),)
+ALIGNED = SOURCE + ((pl.STAGE_ALIGN, "main"),)
+ADAPTED = ALIGNED + ((pl.STAGE_ADAPT, "main"),)
+JOINT = ((pl.STAGE_SOURCE, "joint_training"),)
+JOINT_ADAPTED = JOINT + ((pl.STAGE_ADAPT, "main"),)
+NO_L2_ALIGNED = SOURCE + ((pl.STAGE_ALIGN, "no_l2"),)
+NO_L2_ADAPTED = NO_L2_ALIGNED + ((pl.STAGE_ADAPT, "main"),)
+FINETUNE_ADAPTED = ALIGNED + ((pl.STAGE_ADAPT, "finetune_mel_encoder_and_decoder"),)
+
+# paired recipe -> its arms A and B, each (name, chain)
 PAIRED = {
-    "main": (("adapted", "main", "main"), ("unadapted", None, None)),
-    "joint": (("main", "main", "main"), ("joint", "joint", "main")),
-    "no-l2": (("main", "main", "main"), ("no_l2", "no_l2", "main")),
-    "finetune-all": (("main", "main", "main"),
-                     ("finetune", "main", "finetune_mel_encoder_and_decoder")),
+    "main": (("adapted", ADAPTED), ("unadapted", ALIGNED)),
+    "joint": (("main", ADAPTED), ("joint", JOINT_ADAPTED)),
+    "no-l2": (("main", ADAPTED), ("no_l2", NO_L2_ADAPTED)),
+    "finetune-all": (("main", ADAPTED), ("finetune", FINETUNE_ADAPTED)),
 }
 RECIPES = (*PAIRED, "data-sweep")
 SWEEP_SIZES = (1, 2, 5, 10, 20, 50, 100)
@@ -38,10 +45,6 @@ EVAL_COUNT = 16        # held-out transcripted utterances per adaptation speaker
 DEFAULT_ADAPT_N = 50
 
 EVAL_METRICS = ("mel_mae", "proximity")
-
-# adaptation base -> its upstream checkpoint's key: (Workbench method, variant)
-_UPSTREAM = {"main": ("aligned", "main"), "joint": ("source", "joint_training"),
-             "no_l2": ("aligned", "no_l2")}
 
 
 def _utt_uid(speaker_id, utterance_id):
@@ -68,8 +71,7 @@ class Workbench:
     spec: object = None
     source_corpus: object = None
     adapt_corpora: dict = field(default_factory=dict)
-    _ckpts: dict = field(default_factory=dict)
-    _metrics: dict = field(default_factory=dict)
+    _runs: dict = field(default_factory=dict)  # (chain, speaker, n) -> (ckpt, metrics)
 
     def __post_init__(self):
         if self.spec is None:
@@ -88,25 +90,6 @@ class Workbench:
         return sorted(set(self.source_corpus.speakers())
                       | set(self.adapt_corpora))
 
-    # -- stage checkpoints, cached by content-determining key ---------------
-
-    def _stage(self, key, train):
-        """The checkpoint cached under `key`; `train()` returns (checkpoint,
-        metrics) the first time the key is asked for."""
-        if key not in self._ckpts:
-            self._ckpts[key], self._metrics[key] = train()
-        return self._ckpts[key]
-
-    def source(self, variant="main"):
-        plan = self.cfg.source_plan(variant)
-        return self._stage(("source", variant), lambda: pl.train_source(
-            self.source_corpus, self.cfg.model, replace(plan, seed=plan.seed + self.seed)))
-
-    def aligned(self, variant="main"):
-        plan = self.cfg.align_plan(variant)
-        return self._stage(("aligned", variant), lambda: pl.align_mel_encoder(
-            self.source("main"), self.source_corpus, replace(plan, seed=plan.seed + self.seed)))
-
     def adapt_records(self, speaker, n):
         pool = sd.strip_transcripts(self.adapt_corpora[speaker], speaker)
         if n > ADAPT_POOL:
@@ -118,18 +101,34 @@ class Workbench:
         utts = self.adapt_corpora[speaker].of_speaker(speaker)
         return utts[ADAPT_POOL:ADAPT_POOL + EVAL_COUNT]
 
-    def adapted(self, speaker, n=DEFAULT_ADAPT_N, variant="main", base="main"):
-        """base picks the upstream path: 'main' (source+align), 'joint'
-        (jointly trained source, no aligning stage), 'no_l2' (align without
-        the latent constraint)."""
-        if base not in _UPSTREAM:
-            raise ConfigError(f"unknown adaptation base '{base}'")
-        stage, upstream = _UPSTREAM[base]
-        plan = self.cfg.adapt_plan(
-            variant, seed=self.cfg.adapt.seed + self.seed + 31 * speaker + n)
-        key = ("adapted", base, variant, speaker, n)
-        return self._stage(key, lambda: pl.adapt_untranscribed(
-            getattr(self, stage)(upstream), self.adapt_records(speaker, n), plan))
+    # -- stage checkpoints, cached by chain ---------------------------------
+
+    def run(self, chain, speaker=None, n=DEFAULT_ADAPT_N):
+        """The checkpoint at the end of the tuple `chain`, whose one source
+        step comes first; an adaptation step adapts to `speaker` with `n` of
+        its records. A chain trains once, one that adapts once per (speaker, n)."""
+        if pl.STAGE_ADAPT not in dict(chain):
+            speaker = n = None
+        key = (chain, speaker, n)
+        if key not in self._runs:
+            upstream, (stage, variant) = chain[:-1], chain[-1]
+            if stage not in pl.TRAINS or (stage == pl.STAGE_SOURCE) == bool(upstream):
+                raise ConfigError(f"chain {chain} is not one source step then other stages")
+            if stage == pl.STAGE_SOURCE:
+                plan = self.cfg.source_plan(variant)
+                out = pl.train_source(self.source_corpus, self.cfg.model,
+                                      replace(plan, seed=plan.seed + self.seed))
+            elif stage == pl.STAGE_ALIGN:
+                plan = self.cfg.align_plan(variant)
+                out = pl.align_mel_encoder(self.run(upstream), self.source_corpus,
+                                           replace(plan, seed=plan.seed + self.seed))
+            else:
+                plan = self.cfg.adapt_plan(
+                    variant, seed=self.cfg.adapt.seed + self.seed + 31 * speaker + n)
+                out = pl.adapt_untranscribed(self.run(upstream, speaker, n),
+                                             self.adapt_records(speaker, n), plan)
+            self._runs[key] = out
+        return self._runs[key][0]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -150,12 +149,10 @@ class Workbench:
         return pooled
 
 
-def _arm(bench, base, variant, n=DEFAULT_ADAPT_N):
-    """{speaker: checkpoint} of one arm over the adaptation speakers: adapted
-    with `n` records from `base` in `variant`, or the aligned checkpoint when
-    `base` is None."""
-    return {s: bench.adapted(s, n, variant, base) if base else bench.aligned()
-            for s in bench.cfg.adapt_speaker_ids()}
+def _arm(bench, chain, n=DEFAULT_ADAPT_N):
+    """{speaker: checkpoint} of one arm over the adaptation speakers: the end
+    of `chain`, adapted with `n` records of the speaker if it adapts."""
+    return {s: bench.run(chain, s, n) for s in bench.cfg.adapt_speaker_ids()}
 
 
 def paired_reports(name_a, vals_a, name_b, vals_b) -> dict:
@@ -193,8 +190,8 @@ def run_experiment(recipe, cfg, seed=0, out_dir=None) -> ExperimentResult:
 
 
 def _run_paired(bench, recipe) -> ExperimentResult:
-    (name_a, *a), (name_b, *b) = PAIRED[recipe]
-    arm_a, arm_b = _arm(bench, *a), _arm(bench, *b)
+    (name_a, chain_a), (name_b, chain_b) = PAIRED[recipe]
+    arm_a, arm_b = _arm(bench, chain_a), _arm(bench, chain_b)
     reports = paired_reports(name_a, bench.evaluate_arm(arm_a),
                              name_b, bench.evaluate_arm(arm_b))
     rows = [row for rep in reports.values() for row in rep.rows()]
@@ -208,7 +205,7 @@ def _run_sweep(bench) -> ExperimentResult:
     means = {m: {} for m in EVAL_METRICS}
     for n in SWEEP_SIZES:
         arm = f"n={n}"
-        vals = bench.evaluate_arm(_arm(bench, "main", "main", n))
+        vals = bench.evaluate_arm(_arm(bench, ADAPTED, n))
         for metric in EVAL_METRICS:
             per_utt = vals[metric]
             for uid in sorted(per_utt):
@@ -265,9 +262,7 @@ def reference_record(bench) -> dict:
     means = _run_sweep(bench).sweep_means
     record["criterion7_sweep"] = {
         m: {str(n): v for n, v in means[m].items()} for m in EVAL_METRICS}
-    source = bench._metrics[("source", "main")]
-    joint = bench._metrics[("source", "joint_training")]
-    align = bench._metrics[("aligned", "main")]
+    source, joint, align = (bench._runs[c, None, None][1] for c in (SOURCE, JOINT, ALIGNED))
     record.update(
         source_final_mel_mae=_tail_mean(source, "mel"),
         joint_final_mel_mae=_tail_mean(joint, "mel"),
@@ -307,14 +302,12 @@ def pin_changes(old, new, path="") -> list:
 
 
 def _write_outputs(bench, result, out_dir):
-    from .config import write_effective_config
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_effective_config(bench.cfg, out_dir)
-    for key, ckpt in sorted(bench._ckpts.items(), key=repr):
-        stem = "_".join(str(p) for p in key)
+    for (chain, speaker, size), (ckpt, metrics) in bench._runs.items():
+        stem = ".".join(f"{stage}-{variant}" for stage, variant in chain)
+        if speaker is not None:
+            stem += f".speaker{speaker}-n{size}"
         save_checkpoint(ckpt, out_dir / f"{stem}.ckpt")
-        metrics = bench._metrics.get(key)
         if metrics:
             pl.write_metrics(metrics, out_dir / f"{stem}_metrics.csv")
     write_report_csv(result.report_rows, out_dir / "report.csv")

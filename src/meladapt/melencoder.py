@@ -57,8 +57,3 @@ def decoder_inputs(model, h_mel, mel_in) -> Tensor:
 def reconstruction_inputs(model, mel_in) -> Tensor:
     """Decoder input built from mel alone: no phoneme or duration input exists."""
     return decoder_inputs(model, mel_encoder_forward(model, mel_in), mel_in)
-
-
-def reconstruction_forward(model, mel_in, speaker) -> Tensor:
-    """Reconstruct mel from mel: the decoder on `reconstruction_inputs`."""
-    return m.decode(model, reconstruction_inputs(model, mel_in), speaker)

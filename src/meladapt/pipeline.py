@@ -31,29 +31,25 @@ STAGE_SOURCE = "source_training"
 STAGE_ALIGN = "mel_encoder_aligning"
 STAGE_ADAPT = "untranscribed_adaptation"
 
-# stage -> variant -> the parameter groups it trains; adaptation also trains
-# the adapted speaker's SpeakerTable row, and the freeze audit holds every
-# other row of the table
+# stage -> variant -> (the parameter groups it trains, a loss it records but
+# leaves out of the total or None). Adaptation also trains the adapted
+# speaker's SpeakerTable row, and the freeze audit holds every other row of
+# the table. no_l2 is aligning without the L2 latent constraint.
 TRAINS = {
     STAGE_SOURCE: {
-        "main": frozenset(GROUPS) - {"MelEncoder"},
-        "joint_training": frozenset(GROUPS),
+        "main": (frozenset(GROUPS) - {"MelEncoder"}, None),
+        "joint_training": (frozenset(GROUPS), None),
     },
     STAGE_ALIGN: {
-        "main": frozenset({"MelEncoder"}),
-        "no_l2": frozenset({"MelEncoder"}),
+        "main": (frozenset({"MelEncoder"}), None),
+        "no_l2": (frozenset({"MelEncoder"}), "alignment"),
     },
     STAGE_ADAPT: {
-        "main": frozenset({"ConditionalLN", "SpeakerTable"}),
-        "finetune_mel_encoder_and_decoder":
-            frozenset({"ConditionalLN", "SpeakerTable", "MelEncoder", "DecoderCore"}),
+        "main": (frozenset({"ConditionalLN", "SpeakerTable"}), None),
+        "finetune_mel_encoder_and_decoder": (
+            frozenset({"ConditionalLN", "SpeakerTable", "MelEncoder", "DecoderCore"}), None),
     },
 }
-
-# (stage, variant) -> a loss it records but leaves out of the total; every
-# other recorded loss counts once. no_l2 is aligning without the L2 latent
-# constraint.
-RECORDED_ONLY = {(STAGE_ALIGN, "no_l2"): "alignment"}
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ class StagePlan:
 
     @property
     def trainable_groups(self) -> frozenset:
-        return TRAINS[self.stage][self.variant]
+        return TRAINS[self.stage][self.variant][0]
 
 
 def _check_rate(value):
@@ -246,7 +242,7 @@ def _train(start, plan, items, loss_fn, provenance, rows=None):
     model.set_trainable(plan.trainable_groups)
     trainable = model.trainable_params()
     state = AdamState(trainable)
-    left_out = RECORDED_ONLY.get((plan.stage, plan.variant))
+    left_out = TRAINS[plan.stage][plan.variant][1]
     labels = mm.param_groups(model.config)
     provenance = {**start.provenance, "stage": plan.stage, "variant": plan.variant,
                   **provenance}
@@ -301,7 +297,7 @@ def train_source(corpus, config, plan):
     """Stage one: train everything except the mel encoder on transcribed data,
     starting from a fresh initialisation drawn with the plan's seed.
 
-    Joint-training variant folds the mel encoder in, with the alignment loss.
+    A plan that trains the mel encoder (joint training) adds its losses.
     """
     if plan.stage != STAGE_SOURCE:
         raise ConfigError(f"expected a {STAGE_SOURCE} plan, got {plan.stage}")
@@ -311,7 +307,7 @@ def train_source(corpus, config, plan):
         raise ConfigError("source training needs at least two speakers")
     provenance = {"steps": plan.steps, "seed": plan.seed, "trained_speakers": speakers,
                   "corpus_hash": corpus_hash(corpus)}
-    joint = plan.variant == "joint_training"
+    joint = "MelEncoder" in plan.trainable_groups
     return _train(Checkpoint(config, mm.init_params(config, plan.seed)), plan,
                   train.utterances,
                   lambda m, u, _: _source_losses(m, u, with_alignment=joint),

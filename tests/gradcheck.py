@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, backward
-from .errors import MelAdaptError
+from meladapt.autodiff import Tape, backward
+from meladapt.errors import MelAdaptError
 
 
 class NonDeterministicFunction(MelAdaptError):

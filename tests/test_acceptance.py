@@ -25,8 +25,8 @@ from meladapt.autodiff import Tape, Tensor, backward
 from meladapt.checkpoint import load_checkpoint, param_diff, save_checkpoint
 from meladapt.config import desk_config
 from meladapt.errors import ConfigError, FreezeViolation
-from meladapt.gradcheck import grad_check
 from meladapt.model import ModelConfig, TtsModel, init_params, param_groups
+from tests.gradcheck import grad_check
 
 REPO = Path(__file__).resolve().parent.parent
 REF = json.loads((REPO / "configs" / "reference_desk.json").read_text())
@@ -55,17 +55,17 @@ def bench():
 
 @pytest.fixture(scope="session")
 def source_ckpt(bench):
-    return _timed("source", bench.source)
+    return _timed("source", lambda: bench.run(ex.SOURCE))
 
 
 @pytest.fixture(scope="session")
 def aligned_ckpt(bench, source_ckpt):
-    return _timed("align", bench.aligned)
+    return _timed("align", lambda: bench.run(ex.ALIGNED))
 
 
 @pytest.fixture(scope="session")
 def adapted_main(bench, aligned_ckpt):
-    return {s: _timed("adapt_main", lambda s=s: bench.adapted(s))
+    return {s: _timed("adapt_main", lambda s=s: bench.run(ex.ADAPTED, s))
             for s in bench.cfg.adapt_speaker_ids()}
 
 
@@ -73,15 +73,14 @@ def adapted_main(bench, aligned_ckpt):
 def record(bench, adapted_main):
     """The reference record; every stage it trains is timed first under its
     own label, so the record itself only evaluates."""
-    _timed("source_joint", lambda: bench.source("joint_training"))
-    _timed("align_no_l2", lambda: bench.aligned("no_l2"))
+    _timed("source_joint", lambda: bench.run(ex.JOINT))
+    _timed("align_no_l2", lambda: bench.run(ex.NO_L2_ALIGNED))
     for s in bench.cfg.adapt_speaker_ids():
-        _timed("adapt_joint", lambda s=s: bench.adapted(s, base="joint"))
-        _timed("adapt_no_l2", lambda s=s: bench.adapted(s, base="no_l2"))
-        _timed("adapt_finetune", lambda s=s: bench.adapted(
-            s, variant="finetune_mel_encoder_and_decoder"))
+        _timed("adapt_joint", lambda s=s: bench.run(ex.JOINT_ADAPTED, s))
+        _timed("adapt_no_l2", lambda s=s: bench.run(ex.NO_L2_ADAPTED, s))
+        _timed("adapt_finetune", lambda s=s: bench.run(ex.FINETUNE_ADAPTED, s))
         for n in ex.SWEEP_SIZES:
-            _timed("adapt_sweep", lambda s=s, n=n: bench.adapted(s, n))
+            _timed("adapt_sweep", lambda s=s, n=n: bench.run(ex.ADAPTED, s, n))
     return _timed("eval", lambda: ex.reference_record(bench))
 
 
@@ -146,7 +145,8 @@ def test_criterion_1_gradient_suite():
             return total
 
         def recon_loss(ts):
-            recon = me.reconstruction_forward(model, mel, model.speaker_context(spk))
+            recon = mm.decode(model, me.reconstruction_inputs(model, mel),
+                              model.speaker_context(spk))
             return ad.masked_mae(recon, Tensor(mel.data))
 
         # the latent alignment loss stop-gradients its phoneme side, so its
@@ -222,8 +222,10 @@ def test_criterion_2_freeze_suite(bench, source_ckpt, aligned_ckpt, adapted_main
 def test_criterion_3_transcript_firewall(bench, adapted_main):
     assert set(sd.MelOnlyUtterance.__dataclass_fields__) == {
         "speaker_id", "utterance_id", "mel"}
-    sig = set(inspect.signature(me.reconstruction_forward).parameters)
-    assert sig == {"model", "mel_in", "speaker"}
+    # the path adaptation runs: decoder input from mel alone, then decode
+    assert set(inspect.signature(me.reconstruction_inputs).parameters) == {
+        "model", "mel_in"}
+    assert set(inspect.signature(mm.decode).parameters) == {"model", "x", "speaker"}
 
     for ckpt in adapted_main.values():
         audit = set(ckpt.provenance["field_audit"])
@@ -231,7 +233,7 @@ def test_criterion_3_transcript_firewall(bench, adapted_main):
 
     full_utt = bench.adapt_corpora[8].of_speaker(8)[0]
     with pytest.raises(ConfigError) as exc:
-        pl.adapt_untranscribed(bench.aligned(), [full_utt],
+        pl.adapt_untranscribed(bench.run(ex.ALIGNED), [full_utt],
                                bench.cfg.adapt_plan())
     assert exc.value.exit_code == 2
     _ok("criterion 3 transcript firewall",

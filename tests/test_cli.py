@@ -198,6 +198,26 @@ class TestPipelineCommands:
         assert str(path) in err and f"{command} reads a" in err
         assert list(tmp_path.iterdir()) == []
 
+    # each command writing into a directory that does not exist yet
+    @pytest.mark.parametrize("command, corpus, args", [
+        ("train-source", "data", ["--config", "tiny.cfg"]),
+        ("synthesize", None, ["--ckpt", "adapted.ckpt", "--text-file", "text.txt",
+                              "--speaker", "3"]),
+        ("eval", "data/adapt_3_eval.corpus", ["--arms", "adapted.ckpt"]),
+        ("strip-transcripts", "data/adapt_3_eval.corpus", ["--speaker", "3"])])
+    def test_missing_output_directory_is_created(self, workdir, tmp_path, command,
+                                                 corpus, args):
+        (tmp_path / "text.txt").write_text("1 2 3\n")
+        args = [str(tmp_path / a) if a == "text.txt"
+                else str(workdir / a) if a.endswith((".cfg", ".ckpt")) else a
+                for a in args]
+        if corpus:
+            args += ["--corpus", str(workdir / corpus)]
+        out = tmp_path / "new" / "nested" / "out.file"
+        flag = "--report" if command == "eval" else "--out"
+        assert cli.main([command, *args, flag, str(out)]) == 0
+        assert out.is_file() and out.stat().st_size > 0
+
     def test_align_takes_mel_dim_from_checkpoint(self, workdir, tmp_path):
         # no --config: the desk profile's [model] has mel_dim 16, the tiny
         # checkpoint and corpus 6

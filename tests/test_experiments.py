@@ -57,22 +57,29 @@ class TestWorkbench:
             bench.adapt_records(3, ex.ADAPT_POOL + 1)
 
     def test_stage_checkpoints_cached(self, bench):
-        assert bench.source() is bench.source()
-        assert bench.aligned() is bench.aligned()
-        assert bench.adapted(3, 2) is bench.adapted(3, 2)
-        assert bench.adapted(3, 2) is not bench.adapted(4, 2)
+        assert bench.run(ex.SOURCE) is bench.run(ex.SOURCE)
+        assert bench.run(ex.ALIGNED) is bench.run(ex.ALIGNED, 3, 2)
+        assert bench.run(ex.ADAPTED, 3, 2) is bench.run(ex.ADAPTED, 3, 2)
+        assert bench.run(ex.ADAPTED, 3, 2) is not bench.run(ex.ADAPTED, 4, 2)
+        assert bench.run(ex.ADAPTED, 3, 2) is not bench.run(ex.ADAPTED, 3, 1)
 
-    def test_arm_bases_branch_from_shared_upstream(self, bench):
-        a = bench.adapted(3, 2, base="no_l2")
+    def test_chains_branch_from_shared_upstream(self, bench):
+        a = bench.run(ex.NO_L2_ADAPTED, 3, 2)
         assert a.provenance["variant"] == "main"
-        assert bench.aligned("no_l2").provenance["stage"] == "mel_encoder_aligning"
-        joint = bench.adapted(3, 2, base="joint")
+        assert bench.run(ex.NO_L2_ALIGNED).provenance["variant"] == "no_l2"
+        joint = bench.run(ex.JOINT_ADAPTED, 3, 2)
         assert joint.provenance["adapted_speaker"] == 3
+        assert "align_steps" not in joint.provenance
+
+    @pytest.mark.parametrize("chain", [
+        ex.ALIGNED[1:], ex.SOURCE + ex.SOURCE,
+        ex.SOURCE + (("mystery_stage", "main"),)])
+    def test_malformed_chain_rejected(self, bench, chain):
         with pytest.raises(ConfigError):
-            bench.adapted(3, 2, base="mystery")
+            bench.run(chain, 3, 2)
 
     def test_evaluate_covers_all_eval_utterances(self, bench):
-        vals = bench.evaluate(bench.aligned(), 3)
+        vals = bench.evaluate(bench.run(ex.ALIGNED), 3)
         assert set(vals) == set(ex.EVAL_METRICS)
         assert len(vals["mel_mae"]) == ex.EVAL_COUNT
         assert all(v >= 0 for v in vals["mel_mae"].values())
@@ -102,6 +109,20 @@ class TestRecipes:
         for name in names:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+
+    def test_no_l2_trains_each_chain_prefix_once(self):
+        bench = ex.Workbench(tiny_config(), seed=0)
+        ex._run_paired(bench, "no-l2")
+        # 1 source, 2 aligned (main, no_l2), 2 adapted chains x 2 speakers
+        assert len(bench._runs) == 7
+        assert sorted(len(chain) for chain, _, _ in bench._runs) == [1, 2, 2, 3, 3, 3, 3]
+        (_, chain_a), (_, chain_b) = ex.PAIRED["no-l2"]
+        source = bench._runs[ex.SOURCE, None, None][0]
+        assert bench.run(chain_a[:1]) is bench.run(chain_b[:1]) is source
+        # both aligned checkpoints hold the frozen arrays of that one object
+        for chain in (chain_a[:2], chain_b[:2]):
+            assert bench.run(chain).params["mel_out.b"] is source.params["mel_out.b"]
+        assert len(bench._runs) == 7  # the lookups trained nothing
 
     def test_different_seed_changes_corpus(self):
         a = ex.Workbench(tiny_config(), seed=0)

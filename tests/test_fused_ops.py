@@ -15,7 +15,7 @@ import pytest
 from meladapt import autodiff as ad
 from meladapt.autodiff import Tape, Tensor
 from meladapt.errors import ConfigError, ShapeError
-from meladapt.gradcheck import grad_check
+from tests.gradcheck import grad_check
 
 T, D, E = 5, 8, 3
 

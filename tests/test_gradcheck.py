@@ -3,7 +3,7 @@ import pytest
 
 from meladapt import autodiff as ad
 from meladapt.autodiff import Tensor
-from meladapt.gradcheck import NonDeterministicFunction, grad_check
+from tests.gradcheck import NonDeterministicFunction, grad_check
 
 
 def test_clean_function_passes():

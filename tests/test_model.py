@@ -5,7 +5,7 @@ from meladapt import autodiff as ad
 from meladapt import model as m
 from meladapt.autodiff import Tape, Tensor, backward
 from meladapt.errors import ConfigError, ShapeError
-from meladapt.gradcheck import grad_check
+from tests.gradcheck import grad_check
 
 TINY = m.ModelConfig(
     phoneme_vocab_size=6, hidden_dim=8, n_heads=2, ffn_filter=12, conv_kernel=3,

@@ -109,11 +109,11 @@ class TestStagePlan:
     def test_joint_variant_trains_everything(self):
         plan = pl.source_plan(steps=1, variant="joint_training")
         assert set(plan.trainable_groups) == set(m.GROUPS)
-        assert (plan.stage, plan.variant) not in pl.RECORDED_ONLY
+        assert pl.TRAINS[plan.stage][plan.variant] == (frozenset(m.GROUPS), None)
 
     def test_no_l2_zeroes_alignment_weight(self):
         plan = pl.AlignOpts(steps=1, variant="no_l2")
-        assert pl.RECORDED_ONLY[(plan.stage, plan.variant)] == "alignment"
+        assert pl.TRAINS[plan.stage][plan.variant][1] == "alignment"
         assert set(plan.trainable_groups) == {"MelEncoder"}
 
     def test_finetune_variant_extends_adaptation_set(self):
@@ -259,7 +259,8 @@ class TestAdaptUntranscribed:
         # a loss wired to a source speaker's row trains a row the audit forbids
         def wrong_row(model, record, key, cache):
             mel = Tensor(record.mel)
-            recon = me.reconstruction_forward(model, mel, model.speaker_context(0))
+            recon = m.decode(model, me.reconstruction_inputs(model, mel),
+                             model.speaker_context(0))
             return {"reconstruction": ad.masked_mae(recon, mel)}
 
         monkeypatch.setattr(pl, "_adapt_losses", wrong_row)
@@ -395,7 +396,7 @@ def _uncached_align(model, utt, key, cache):
 def _uncached_adapt(model, record, key, cache):
     mel = Tensor(record.mel)
     spk = model.speaker_context(record.speaker_id)
-    recon = me.reconstruction_forward(model, mel, spk)
+    recon = m.decode(model, me.reconstruction_inputs(model, mel), spk)
     return {"reconstruction": ad.masked_mae(recon, mel)}
 
 
